@@ -171,8 +171,10 @@ def _parse_args(argv):
     parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
         help="phase-2 simulation backend: 'python' (scalar reference), "
-        "'numpy' (vectorized), or 'auto' (numpy on large traces when "
-        "available; the default).  Both produce bit-identical results",
+        "'numpy' (vectorized), 'native' (compiled kernel), or 'auto' (the "
+        "default: native when the kernel is available, else numpy, else "
+        "python; traces under 4,096 events go to python).  All produce "
+        "bit-identical results",
     )
     parser.add_argument(
         "--stream", action="store_true",
@@ -789,13 +791,15 @@ def _blackbox_path(args) -> Path:
     """Where a failed run's black-box event dump lands.
 
     Next to the manifest when one was requested, next to the event log
-    otherwise, and a fixed cwd name as the last resort.
+    otherwise, and in the runs directory (``--runs-dir``, default
+    ``<cache-dir>/runs``) as the last resort.
     """
     if args.manifest:
         return Path(args.manifest).with_suffix(".blackbox.jsonl")
     if args.events:
         return Path(args.events).with_suffix(".blackbox.jsonl")
-    return Path("repro.blackbox.jsonl")
+    runs = Path(args.runs_dir) if args.runs_dir else Path(args.cache_dir) / "runs"
+    return runs / "repro.blackbox.jsonl"
 
 
 def _dump_blackbox(args) -> None:

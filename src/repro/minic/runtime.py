@@ -171,10 +171,10 @@ class Runtime:
         self._register("print_int", self._print_int)
         self._register("print_float", self._print_float)
         self._register("print_char", self._print_char)
-        self._register("sqrt", self._math_unary(math.sqrt))
-        self._register("exp", self._math_unary(math.exp))
-        self._register("log", self._math_unary(math.log))
-        self._register("fabs", self._math_unary(abs))
+        self._register("sqrt", self._math_unary("sqrt", math.sqrt))
+        self._register("exp", self._math_unary("exp", math.exp))
+        self._register("log", self._math_unary("log", math.log))
+        self._register("fabs", self._math_unary("fabs", abs))
 
     def _malloc(self, cpu: Cpu, args) -> int:
         cpu.cycles += _MALLOC_CYCLES
@@ -200,7 +200,7 @@ class Runtime:
         cpu.cycles += _PRINT_CYCLES
         self.output.append(chr(int(args[0]) & 0x7F))
 
-    def _math_unary(self, fn: Callable[[float], float]) -> Callable:
+    def _math_unary(self, name: str, fn: Callable[[float], float]) -> Callable:
         def impl(cpu: Cpu, args) -> float:
             cpu.cycles += _MATH_CYCLES
             try:
@@ -208,4 +208,8 @@ class Runtime:
             except ValueError as exc:
                 raise MiniCRuntimeError(f"math domain error: {exc}") from exc
 
+        # The native phase-1 machine runs these through libm itself
+        # (repro.machine.native); every other builtin exits to Python.
+        impl.native_math = name
+        impl.native_cycles = _MATH_CYCLES
         return impl

@@ -1,28 +1,17 @@
 """Build and load the native phase-2 kernel.
 
-The kernel (``engine.c``) is plain C with no Python.h dependency, so the
-"build system" is one compiler invocation::
-
-    cc -O3 -shared -fPIC engine.c -o <cache>/engine-<source sha256>.so
-
-and the "bindings" are ctypes.  That keeps the native backend usable on
-any box with *a* C compiler — no Cython, no build-time Python headers —
+The kernel (``engine.c``) is plain C with no Python.h dependency; it is
+built and loaded by :class:`repro.nativelib.CKernel`, which compiles it
+on demand with the system C compiler into a digest-keyed cache and
+binds it through ctypes.  That keeps the native backend usable on any
+box with *a* C compiler, no Cython and no build-time Python headers,
 while still degrading gracefully (``native_available()`` is False, and
 ``engine="auto"`` falls back to NumPy) when even that is missing.
 
-Resolution order for the shared object:
-
-1. ``REPRO_NATIVE_LIB`` — an explicit prebuilt library path (what the
-   ``python setup.py build_native`` artifact or a CI cache provides).
-2. A cached build keyed by the source digest (``REPRO_NATIVE_CACHE`` or
-   ``~/.cache/repro-native``): recompiled only when ``engine.c``
-   changes, published atomically so concurrent workers never observe a
-   half-written library.
-3. An on-demand compile with ``$CC``/``cc``/``gcc``.
-
-``REPRO_NATIVE_DISABLE=1`` forces unavailability — used by the CI
-no-toolchain job and the fallback-matrix tests to prove ``auto``
-degradation without uninstalling the compiler.
+``REPRO_NATIVE_LIB`` names an explicit prebuilt library (what the
+``python setup.py build_native`` artifact or a CI cache provides);
+``REPRO_NATIVE_DISABLE=1`` forces unavailability.  See
+:mod:`repro.nativelib` for the cache and the resolution order.
 
 Loaded libraries are checked twice before use: an ABI version handshake
 (so a stale cached build from an older source layout is rebuilt rather
@@ -34,96 +23,13 @@ mainstream compiler provides).
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from typing import Optional
+
+from repro.nativelib import CKernel, find_compiler as _find_compiler
 
 _ABI_VERSION = 1
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "engine.c")
-
-_lock = threading.Lock()
-_lib: Optional[ctypes.CDLL] = None
-_probe_result: Optional[bool] = None
-_load_error: Optional[str] = None
-
-
-def _cache_dir() -> str:
-    explicit = os.environ.get("REPRO_NATIVE_CACHE")
-    if explicit:
-        return explicit
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "repro-native")
-
-
-def _source_digest() -> str:
-    with open(_SOURCE, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()[:16]
-
-
-def _find_compiler() -> Optional[str]:
-    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if candidate and shutil.which(candidate):
-            return candidate
-    return None
-
-
-def build_native_library(out_path: Optional[str] = None) -> str:
-    """Compile ``engine.c`` into a shared object and return its path.
-
-    With ``out_path`` the library lands exactly there (the ``setup.py
-    build_native`` entry point); otherwise it is published atomically
-    into the cache directory under a source-digest name, so repeat calls
-    are free and concurrent builders race benignly (last rename wins,
-    both files are identical).
-
-    Raises ``RuntimeError`` when no C compiler is on PATH or the compile
-    fails — callers that want graceful degradation go through
-    :func:`load_native_library` / :func:`native_available` instead.
-    """
-    compiler = _find_compiler()
-    if compiler is None:
-        raise RuntimeError(
-            "no C compiler found (tried $CC, cc, gcc, clang); set CC or "
-            "provide a prebuilt library via REPRO_NATIVE_LIB"
-        )
-    if out_path is None:
-        cache = _cache_dir()
-        os.makedirs(cache, exist_ok=True)
-        final = os.path.join(cache, f"engine-{_source_digest()}.so")
-        if os.path.exists(final):
-            return final
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(out_path)) or ".",
-                    exist_ok=True)
-        final = out_path
-
-    fd, tmp = tempfile.mkstemp(
-        suffix=".so", dir=os.path.dirname(os.path.abspath(final))
-    )
-    os.close(fd)
-    try:
-        cmd = [
-            compiler, "-O3", "-shared", "-fPIC",
-            "-fvisibility=hidden", _SOURCE, "-o", tmp,
-        ]
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"native engine compile failed ({' '.join(cmd)}):\n"
-                f"{proc.stderr.strip()}"
-            )
-        os.replace(tmp, final)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return final
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -156,37 +62,25 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
-def _try_load() -> Optional[ctypes.CDLL]:
-    global _load_error
-    if os.environ.get("REPRO_NATIVE_DISABLE"):
-        _load_error = "disabled via REPRO_NATIVE_DISABLE"
-        return None
-    path = os.environ.get("REPRO_NATIVE_LIB")
-    if not path:
-        try:
-            path = build_native_library()
-        except (RuntimeError, OSError, subprocess.SubprocessError) as exc:
-            _load_error = str(exc)
-            return None
-    try:
-        lib = _declare(ctypes.CDLL(path))
-    except OSError as exc:
-        _load_error = f"could not load {path}: {exc}"
-        return None
-    if lib.engine_abi_version() != _ABI_VERSION:
-        _load_error = (
-            f"{path} has ABI version {lib.engine_abi_version()}, "
-            f"expected {_ABI_VERSION}; rebuild it"
-        )
-        return None
+def _verify(lib: ctypes.CDLL) -> Optional[str]:
     if not lib.engine_shift_probe():
-        _load_error = (
-            f"{path} was built by a compiler without arithmetic right "
-            "shift on signed int64; the page math would be wrong"
+        return (
+            "built by a compiler without arithmetic right shift on signed "
+            "int64; the page math would be wrong"
         )
-        return None
-    _load_error = None
-    return lib
+    return None
+
+
+_KERNEL = CKernel(
+    "engine", _SOURCE, _ABI_VERSION, _declare,
+    lib_env="REPRO_NATIVE_LIB", verify=_verify,
+)
+
+
+def build_native_library(out_path: Optional[str] = None) -> str:
+    """Compile ``engine.c`` into a shared object and return its path
+    (see :meth:`repro.nativelib.CKernel.build`)."""
+    return _KERNEL.build(out_path)
 
 
 def load_native_library(refresh: bool = False) -> Optional[ctypes.CDLL]:
@@ -195,15 +89,7 @@ def load_native_library(refresh: bool = False) -> Optional[ctypes.CDLL]:
     ``refresh=True`` re-runs the probe — tests use it after flipping
     ``REPRO_NATIVE_DISABLE`` / ``REPRO_NATIVE_LIB``.
     """
-    global _lib, _probe_result
-    with _lock:
-        if refresh:
-            _lib = None
-            _probe_result = None
-        if _probe_result is None:
-            _lib = _try_load()
-            _probe_result = _lib is not None
-        return _lib
+    return _KERNEL.load(refresh)
 
 
 def native_available(refresh: bool = False) -> bool:
@@ -213,7 +99,7 @@ def native_available(refresh: bool = False) -> bool:
 
 def native_unavailable_reason() -> Optional[str]:
     """Why the last load attempt failed (None when loaded or untried)."""
-    return _load_error
+    return _KERNEL.error
 
 
 __all__ = [

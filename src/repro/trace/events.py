@@ -120,6 +120,23 @@ class EventTrace:
         self.col_c.append(end)
         self.meta.n_removes += 1
 
+    def take_columns(self) -> TraceColumns:
+        """Detach the appended events as NumPy columns and start empty
+        ones (the chunking tracer's flush); ``meta`` keeps its totals."""
+        import numpy as np
+
+        columns = TraceColumns(
+            np.frombuffer(self.kinds, dtype=np.int8),
+            np.frombuffer(self.col_a, dtype=np.int64),
+            np.frombuffer(self.col_b, dtype=np.int64),
+            np.frombuffer(self.col_c, dtype=np.int64),
+        )
+        self.kinds = array("b")
+        self.col_a = array("q")
+        self.col_b = array("q")
+        self.col_c = array("q")
+        return columns
+
     # -- array backing -------------------------------------------------------
 
     @classmethod

@@ -47,7 +47,6 @@ from __future__ import annotations
 import queue
 import threading
 import zlib
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -409,40 +408,30 @@ class ChunkingTracer(Tracer):
         *,
         emit: Callable[[TraceChunk], None],
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
+        trace=None,
     ) -> None:
         if chunk_events < 1:
             raise PipelineError(
                 f"chunk_events must be >= 1, got {chunk_events!r}"
             )
-        super().__init__(cpu, image, program_name)
+        super().__init__(cpu, image, program_name, trace)
         self._emit = emit
         self._chunk_events = chunk_events
         self._next_seq = 0
         self._emitted_events = 0
 
     def _flush(self) -> None:
-        trace = self.trace
-        n = len(trace.kinds)
+        n = len(self.trace)
         if n == 0:
             return
-        chunk = TraceChunk.build(
-            self._next_seq,
-            np.frombuffer(trace.kinds, dtype=np.int8).copy(),
-            np.frombuffer(trace.col_a, dtype=np.int64).copy(),
-            np.frombuffer(trace.col_b, dtype=np.int64).copy(),
-            np.frombuffer(trace.col_c, dtype=np.int64).copy(),
-        )
-        # Reset the columns (meta keeps accumulating run totals).
-        trace.kinds = array("b")
-        trace.col_a = array("q")
-        trace.col_b = array("q")
-        trace.col_c = array("q")
+        # Detach the buffered columns (meta keeps accumulating run totals).
+        chunk = TraceChunk.build(self._next_seq, *self.trace.take_columns())
         self._next_seq += 1
         self._emitted_events += n
         self._emit(chunk)
 
     def _maybe_flush(self) -> None:
-        if len(self.trace.kinds) >= self._chunk_events:
+        if len(self.trace) >= self._chunk_events:
             self._flush()
 
     # Every event hook defers to the base tracer, then flushes when the

@@ -26,9 +26,7 @@ from repro import observe
 from repro.machine.cpu import Cpu, CpuState
 from repro.machine.layout import MemoryLayout
 from repro.machine.loader import LoadedProgram, load_program
-from repro.machine.memory import Memory
 from repro.minic.compiler import CompiledProgram
-from repro.minic.runtime import Runtime
 from repro.trace.events import EventTrace
 from repro.trace.objects import ObjectRegistry
 
@@ -36,13 +34,18 @@ from repro.trace.objects import ObjectRegistry
 class Tracer:
     """Observes one run and builds the event trace."""
 
-    def __init__(self, cpu: Cpu, image: LoadedProgram, program_name: str = "") -> None:
+    def __init__(self, cpu: Cpu, image: LoadedProgram, program_name: str = "",
+                 trace=None) -> None:
         self.cpu = cpu
         self.image = image
-        self.trace = EventTrace(program_name or image.name)
+        #: Where events go: a fresh :class:`EventTrace` unless the caller
+        #: passes another sink with the same ``append_*``/``meta`` surface
+        #: (the native tier's :class:`repro.trace.phase1.NativeTraceSink`).
+        self.trace = trace if trace is not None else EventTrace(program_name or image.name)
         self.registry = ObjectRegistry()
-        #: function index -> [(frame offset, size, object id), ...]
-        self._frame_plans: Dict[int, List[Tuple[int, int, int]]] = {}
+        #: function index -> [(frame offset, size, object id), ...]; the
+        #: native tier emits these on CALL/RET itself.
+        self.frame_plans: Dict[int, List[Tuple[int, int, int]]] = {}
         #: live heap blocks: address -> (object id, size)
         self._live_heap: Dict[int, Tuple[int, int]] = {}
         #: (address, size) ranges of globals/statics installed at start.
@@ -66,7 +69,7 @@ class Tracer:
             for var in func.frame_vars():
                 obj = self.registry.local(func.name, var.name, var.size_bytes, var.is_param)
                 plan.append((var.offset, var.size_bytes, obj.id))
-            self._frame_plans[func.index] = plan
+            self.frame_plans[func.index] = plan
         self.cpu.tracer = self
 
     def finish(self, state: Optional[CpuState] = None) -> EventTrace:
@@ -106,13 +109,13 @@ class Tracer:
 
     def on_enter(self, func, frame_base: int) -> None:
         trace = self.trace
-        for offset, size, object_id in self._frame_plans[func.index]:
+        for offset, size, object_id in self.frame_plans[func.index]:
             begin = frame_base + offset
             trace.append_install(object_id, begin, begin + size)
 
     def on_exit(self, func, frame_base: int) -> None:
         trace = self.trace
-        for offset, size, object_id in self._frame_plans[func.index]:
+        for offset, size, object_id in self.frame_plans[func.index]:
             begin = frame_base + offset
             trace.append_remove(object_id, begin, begin + size)
 
@@ -160,19 +163,15 @@ def trace_program(
 ) -> Tuple[EventTrace, ObjectRegistry, CpuState]:
     """Compile-to-trace driver for phase 1.
 
-    Loads ``program`` on a fresh machine, runs it under a tracer, and
+    Loads ``program`` on a fresh machine, runs it under a tracer (on the
+    native tier when eligible, see :mod:`repro.trace.phase1`), and
     returns ``(trace, object registry, final cpu state)``.
     """
+    from repro.trace.phase1 import run_phase1
+
     layout = layout or program.layout
-    image = load_program(program, layout)
-    memory = Memory(layout)
-    cpu = Cpu(memory, layout=layout)
-    runtime = Runtime(cpu, layout)
-    runtime.install()
-    cpu.attach(image)
-    tracer = Tracer(cpu, image, program.name)
-    tracer.begin()
-    runtime.heap.listeners.append(tracer)
-    state = cpu.run(entry, args, max_instructions)
-    trace = tracer.finish(state)
-    return trace, tracer.registry, state
+    run = run_phase1(
+        load_program(program, layout), layout, program.name, entry=entry,
+        args=args, max_instructions=max_instructions,
+    )
+    return run.trace, run.registry, run.state

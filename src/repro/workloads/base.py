@@ -14,14 +14,14 @@ from typing import Callable, Optional
 
 from repro import observe
 from repro.errors import PipelineError
-from repro.machine.cpu import Cpu, CpuState
+from repro.machine.cpu import CpuState
 from repro.machine.loader import LoadedProgram, load_program
 from repro.machine.memory import Memory
 from repro.minic.compiler import CompiledProgram, compile_source
 from repro.minic.runtime import Runtime
 from repro.trace.events import EventTrace
 from repro.trace.objects import ObjectRegistry
-from repro.trace.tracer import Tracer
+from repro.trace.phase1 import run_phase1
 
 
 class Workload:
@@ -79,7 +79,8 @@ def run_workload(
 ) -> WorkloadRun:
     """Phase 1 for one workload: compile, run under the tracer, check.
 
-    With ``chunk_sink`` the run streams: a
+    The run takes the native tier when it is eligible
+    (:mod:`repro.trace.phase1`).  With ``chunk_sink`` the run streams: a
     :class:`~repro.trace.stream.ChunkingTracer` emits
     :class:`~repro.trace.stream.TraceChunk` batches of ``chunk_events``
     events to the sink (typically
@@ -95,37 +96,22 @@ def run_workload(
         program = workload.compile(scale)
     layout = program.layout
     image = load_program(program, layout)
-    memory = Memory(layout)
-    cpu = Cpu(memory, layout=layout)
-    runtime = Runtime(cpu, layout)
-    runtime.install()
-    cpu.attach(image)
-    workload.setup(memory, image, scale)
-    if chunk_sink is not None:
-        from repro.trace.stream import DEFAULT_CHUNK_EVENTS, ChunkingTracer
-
-        tracer = ChunkingTracer(
-            cpu, image, workload.name, emit=chunk_sink,
-            chunk_events=(
-                DEFAULT_CHUNK_EVENTS if chunk_events is None else chunk_events
-            ),
-        )
-    else:
-        tracer = Tracer(cpu, image, workload.name)
-    tracer.begin()
-    runtime.heap.listeners.append(tracer)
     if on_progress:
         on_progress(f"tracing {workload.name}")
     with observe.span("trace", program=workload.name):
-        state = cpu.run("main", (), max_instructions)
-        trace = tracer.finish(state)
-    workload.check(state, runtime, scale)
+        run = run_phase1(
+            image, layout, workload.name,
+            max_instructions=max_instructions,
+            setup=lambda memory: workload.setup(memory, image, scale),
+            chunk_sink=chunk_sink, chunk_events=chunk_events,
+        )
+    workload.check(run.state, run.runtime, scale)
     return WorkloadRun(
         workload=workload,
         scale=scale,
         program=program,
-        trace=trace,
-        registry=tracer.registry,
-        state=state,
-        output=list(runtime.output),
+        trace=run.trace,
+        registry=run.registry,
+        state=run.state,
+        output=list(run.runtime.output),
     )

@@ -111,6 +111,22 @@ class TestBlackBox:
         capsys.readouterr()
         assert (tmp_path / "chaos.blackbox.jsonl").exists()
 
+    @pytest.mark.parametrize("runs_dir", [None, "runs-here"])
+    def test_fallback_lands_in_runs_dir_not_cwd(self, tmp_path, capsys,
+                                                monkeypatch, runs_dir):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        extra = ["--metrics", "--retries", "0",
+                 "--inject-faults", "cache.write:fatal@gcc"]
+        if runs_dir:
+            extra += ["--runs-dir", str(tmp_path / runs_dir)]
+        assert _run_cli(tmp_path, *extra) == EXIT_PIPELINE
+        capsys.readouterr()
+        assert list(cwd.iterdir()) == []
+        runs = tmp_path / runs_dir if runs_dir else tmp_path / "cache" / "runs"
+        assert (runs / "repro.blackbox.jsonl").exists()
+
     def test_not_written_on_success(self, tmp_path, capsys):
         log = tmp_path / "ok.jsonl"
         assert _run_cli(tmp_path, "--events", str(log)) == EXIT_OK
