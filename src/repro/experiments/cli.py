@@ -171,9 +171,8 @@ def _parse_args(argv):
     parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
         help="phase-2 simulation backend: 'python' (scalar reference), "
-        "'numpy' (vectorized), 'native' (compiled kernel), or 'auto' (the "
-        "default: native when the kernel is available, else numpy, else "
-        "python; traces under 4,096 events go to python).  All produce "
+        "'native' (compiled kernel), or 'auto' (the default: native when "
+        "the kernel is available, else python).  Both produce "
         "bit-identical results",
     )
     parser.add_argument(

@@ -478,8 +478,7 @@ def _simulate_streamed(
     """
     stream = open_simulation_stream(
         reader.registry, sessions, config.page_sizes,
-        engine=config.engine, expected_events=reader.n_events,
-        chunk_hint=config.chunk_events,
+        engine=config.engine,
     )
     channel = ChunkChannel()
 

@@ -6,7 +6,8 @@ on demand with the system C compiler into a digest-keyed cache and
 binds it through ctypes.  That keeps the native backend usable on any
 box with *a* C compiler, no Cython and no build-time Python headers,
 while still degrading gracefully (``native_available()`` is False, and
-``engine="auto"`` falls back to NumPy) when even that is missing.
+``engine="auto"`` falls back to the scalar engine) when even that is
+missing.
 
 ``REPRO_NATIVE_LIB`` names an explicit prebuilt library (what the
 ``python setup.py build_native`` artifact or a CI cache provides);

@@ -11,8 +11,8 @@
  * Bit-identity contract: every branch below mirrors a line of the
  * scalar engine, in event order, using only int64 arithmetic, so the
  * counting variables are exactly equal (not approximately — exactly;
- * the differential suite in tests/simulate/test_vector_equivalence.py
- * and tests/simulate/test_native_engine.py enforces it).  In
+ * the differential suite in tests/simulate/test_engine_equivalence.py
+ * enforces it).  In
  * particular:
  *
  *   - install over an owned word / remove of an unowned word counts one

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import observe
 from repro.observe import profile as observe_profile
@@ -119,7 +119,7 @@ class SimulationStream:
     this class driven with a single :meth:`feed` call — the streamed and
     batch paths share one event loop, which is what makes them
     bit-identical by construction (the differential suite in
-    ``tests/simulate/test_vector_equivalence.py`` checks it anyway).
+    ``tests/simulate/test_engine_equivalence.py`` checks it anyway).
 
     All carried state is bounded by the *live* working set — the word
     ownership map, per-page write counters, and lazy (page, session)
@@ -373,8 +373,6 @@ class SimulationStream:
             )
 
         n_sessions = self._n_sessions
-        hits = self._hits
-        total_writes = self._total_writes
         # Defensive flush: close any windows the trace left open.
         for i in self._page_range:
             pw = self._page_writes[i]
@@ -384,63 +382,100 @@ class SimulationStream:
                     self._unprotects[i][s] += 1
                     self._raw_active[i][s] += pw.get(page, 0) - state[1]
 
-        result = SimulationResult(
-            program=meta.program,
-            meta=meta,
-            page_sizes=self._page_sizes,
-            total_writes=total_writes,
-            overlap_anomalies=self._overlap_anomalies,
+        return assemble_result(
+            meta, self._sessions, self._page_sizes,
+            self._total_writes, self._overlap_anomalies,
+            self._installs, self._removes, self._hits, self._max_active,
+            self._protects, self._unprotects, self._raw_active,
+            backend="python",
+            n_events=self._n_events,
+            elapsed=(
+                self._elapsed + (time.perf_counter() - finish_start)
+                if observing else None
+            ),
+            sample_counts=self._sample_counts,
         )
-        for session in self._sessions:
-            s = session.index
-            if hits[s] == 0:
-                result.n_discarded += 1
-                continue
-            counting = CountingVariables(
-                installs=self._installs[s],
-                removes=self._removes[s],
-                hits=hits[s],
-                misses=total_writes - hits[s],
-                max_concurrent=self._max_active[s],
-            )
-            for i, size in enumerate(self._page_sizes):
-                counting.vm[size] = VmPageCounts(
-                    protects=self._protects[i][s],
-                    unprotects=self._unprotects[i][s],
-                    active_page_misses=max(
-                        self._raw_active[i][s] - hits[s], 0
-                    ),
-                )
-            result.sessions.append(session)
-            result.counts.append(counting)
 
-        if observing:
-            elapsed = self._elapsed + (time.perf_counter() - finish_start)
-            n_events = self._n_events
-            observe.inc("engine.runs")
-            observe.inc("engine.events", n_events)
-            observe.inc("engine.writes", total_writes)
-            observe.inc(
-                "engine.session_updates",
-                sum(self._installs) + sum(self._removes) + sum(hits),
+
+def assemble_result(
+    meta: TraceMeta,
+    sessions: Sequence[SessionDef],
+    page_sizes: Tuple[int, ...],
+    total_writes: int,
+    overlap_anomalies: int,
+    installs: Sequence[int],
+    removes: Sequence[int],
+    hits: Sequence[int],
+    max_active: Sequence[int],
+    protects: Sequence[Sequence[int]],
+    unprotects: Sequence[Sequence[int]],
+    raw_active: Sequence[Sequence[int]],
+    *,
+    backend: str,
+    n_events: int,
+    elapsed: Optional[float],
+    sample_counts: Dict[int, int],
+) -> SimulationResult:
+    """Build a finished stream's :class:`SimulationResult` and report it.
+
+    Both backends end here.  The per-session sequences are indexed by
+    ``SessionDef.index``; ``protects``/``unprotects``/``raw_active``
+    hold one such sequence per page size.  ``elapsed`` is the stream's
+    time so far, or ``None`` when observation is off; with it the run's
+    ``engine.*`` counters, the ``engine.backend`` note and an
+    ``engine.events_per_sec`` sample are recorded.
+    """
+    assembly_start = time.perf_counter() if elapsed is not None else 0.0
+    result = SimulationResult(
+        program=meta.program,
+        meta=meta,
+        page_sizes=page_sizes,
+        total_writes=total_writes,
+        overlap_anomalies=overlap_anomalies,
+    )
+    for session in sessions:
+        s = session.index
+        if hits[s] == 0:
+            result.n_discarded += 1
+            continue
+        counting = CountingVariables(
+            installs=installs[s],
+            removes=removes[s],
+            hits=hits[s],
+            misses=total_writes - hits[s],
+            max_concurrent=max_active[s],
+        )
+        for i, size in enumerate(page_sizes):
+            counting.vm[size] = VmPageCounts(
+                protects=protects[i][s],
+                unprotects=unprotects[i][s],
+                active_page_misses=max(raw_active[i][s] - hits[s], 0),
             )
-            observe.inc(
-                "engine.page_transitions",
-                sum(
-                    sum(self._protects[i]) + sum(self._unprotects[i])
-                    for i in self._page_range
-                ),
-            )
-            observe.inc("engine.sessions_studied", len(result.sessions))
-            observe.inc("engine.sessions_discarded", result.n_discarded)
-            observe.note("engine.backend", "python")
-            if elapsed > 0:
-                observe.observe_value(
-                    "engine.events_per_sec", n_events / elapsed
-                )
-        if self._sample_counts:
-            observe_profile.get_profiler().record_engine(self._sample_counts)
-        return result
+        result.sessions.append(session)
+        result.counts.append(counting)
+
+    if elapsed is not None:
+        elapsed += time.perf_counter() - assembly_start
+        observe.inc("engine.runs")
+        observe.inc("engine.events", n_events)
+        observe.inc("engine.writes", total_writes)
+        observe.inc(
+            "engine.session_updates",
+            sum(installs) + sum(removes) + sum(hits),
+        )
+        observe.inc(
+            "engine.page_transitions",
+            sum(sum(prot) + sum(unprot)
+                for prot, unprot in zip(protects, unprotects)),
+        )
+        observe.inc("engine.sessions_studied", len(result.sessions))
+        observe.inc("engine.sessions_discarded", result.n_discarded)
+        observe.note("engine.backend", backend)
+        if elapsed > 0:
+            observe.observe_value("engine.events_per_sec", n_events / elapsed)
+    if sample_counts:
+        observe_profile.get_profiler().record_engine(sample_counts)
+    return result
 
 
 def simulate_sessions(

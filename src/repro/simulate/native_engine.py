@@ -4,21 +4,18 @@ The hot loop lives in ``_native/engine.c`` — a machine-code port of the
 scalar engine's per-event pass (word-ownership map, cumulative per-page
 write counters, lazy (page, session) windows).  This module is the thin
 Python half: membership CSR construction, the ``feed``/``feed_chunk``/
-``finish`` stream protocol, result assembly, and the observe/profiler
-contract — everything that is *not* per-event work.
+``finish`` stream protocol, and reading the kernel's per-session totals
+back for :func:`~repro.simulate.engine.assemble_result` — everything
+that is *not* per-event work.
 
 :class:`NativeSimulationStream` is a drop-in sibling of
-:class:`~repro.simulate.engine.SimulationStream` and
-:class:`~repro.simulate.vector_engine.VectorSimulationStream`: same
-constructor, same stream contract (any feed split point is legal,
-chunk sequence order enforced, truncation checked at ``finish``), and
-bit-identical results — the kernel replicates the scalar loop branch
-for branch, and the differential suites enforce it.
-
-Unlike the NumPy backend there is no minimum batch size: the C loop has
-no fixed array-pass setup to amortize, so chunks go straight to the
-kernel and carried state stays bounded by the live working set (owned
-words, touched pages, open pairs) exactly as in the scalar engine.
+:class:`~repro.simulate.engine.SimulationStream`: same constructor,
+same stream contract (any feed split point is legal, chunk sequence
+order enforced, truncation checked at ``finish``), and bit-identical
+results — the kernel replicates the scalar loop branch for branch, and
+the differential suites enforce it.  Chunks go straight to the kernel
+and carried state stays bounded by the live working set (owned words,
+touched pages, open pairs) exactly as in the scalar engine.
 
 Construction raises :class:`~repro.errors.PipelineError` when the
 kernel is unavailable (no compiler, ``REPRO_NATIVE_DISABLE``); the
@@ -33,6 +30,8 @@ import time
 from array import array
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro import observe
 from repro.observe import profile as observe_profile
 from repro.errors import PipelineError
@@ -41,15 +40,13 @@ from repro.simulate._native import (
     load_native_library,
     native_unavailable_reason,
 )
-from repro.simulate.counting import CountingVariables, VmPageCounts
-from repro.simulate.engine import SimulationResult, validate_page_sizes
+from repro.simulate.engine import (
+    SimulationResult,
+    assemble_result,
+    validate_page_sizes,
+)
 from repro.trace.events import EventTrace, TraceMeta
 from repro.trace.objects import ObjectRegistry
-
-try:  # numpy is the fast path for column marshalling, not a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the repo
-    _np = None
 
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_I8 = ctypes.POINTER(ctypes.c_int8)
@@ -57,8 +54,8 @@ _P_I8 = ctypes.POINTER(ctypes.c_int8)
 
 def _i64_buffer(column):
     """(pointer, length, keepalive) over a contiguous int64 view."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        arr = _np.ascontiguousarray(column, dtype=_np.int64)
+    if isinstance(column, np.ndarray):
+        arr = np.ascontiguousarray(column, dtype=np.int64)
         return arr.ctypes.data_as(_P_I64), len(arr), arr
     if isinstance(column, array) and column.itemsize == 8:
         addr, length = column.buffer_info()
@@ -70,8 +67,8 @@ def _i64_buffer(column):
 
 def _i8_buffer(column):
     """(pointer, length, keepalive) over a contiguous int8 view."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        arr = _np.ascontiguousarray(column, dtype=_np.int8)
+    if isinstance(column, np.ndarray):
+        arr = np.ascontiguousarray(column, dtype=np.int8)
         return arr.ctypes.data_as(_P_I8), len(arr), arr
     if isinstance(column, array) and column.itemsize == 1:
         addr, length = column.buffer_info()
@@ -252,71 +249,27 @@ class NativeSimulationStream:
             fresh(), fresh(), fresh(), fresh(),
         )
         lib.engine_read_sessions(handle, installs, removes, hits, max_active)
-        per_size = []
-        for i in range(len(self._page_sizes)):
-            prot, unprot, raw = fresh(), fresh(), fresh()
+        per_size = [(fresh(), fresh(), fresh()) for _ in self._page_sizes]
+        for i, (prot, unprot, raw) in enumerate(per_size):
             lib.engine_read_pages(handle, i, prot, unprot, raw)
-            per_size.append((prot, unprot, raw))
+        protects, unprotects, raw_active = zip(*per_size)
         total_writes = lib.engine_total_writes(handle)
         overlap_anomalies = lib.engine_overlap_anomalies(handle)
         self._release()
 
-        result = SimulationResult(
-            program=meta.program,
-            meta=meta,
-            page_sizes=self._page_sizes,
-            total_writes=total_writes,
-            overlap_anomalies=overlap_anomalies,
+        return assemble_result(
+            meta, self._sessions, self._page_sizes,
+            total_writes, overlap_anomalies,
+            installs, removes, hits, max_active,
+            protects, unprotects, raw_active,
+            backend="native",
+            n_events=self._n_events,
+            elapsed=(
+                self._elapsed + (time.perf_counter() - finish_start)
+                if observing else None
+            ),
+            sample_counts=self._sample_counts,
         )
-        for session in self._sessions:
-            s = session.index
-            if hits[s] == 0:
-                result.n_discarded += 1
-                continue
-            counting = CountingVariables(
-                installs=installs[s],
-                removes=removes[s],
-                hits=hits[s],
-                misses=total_writes - hits[s],
-                max_concurrent=max_active[s],
-            )
-            for i, size in enumerate(self._page_sizes):
-                prot, unprot, raw = per_size[i]
-                counting.vm[size] = VmPageCounts(
-                    protects=prot[s],
-                    unprotects=unprot[s],
-                    active_page_misses=max(raw[s] - hits[s], 0),
-                )
-            result.sessions.append(session)
-            result.counts.append(counting)
-
-        if observing:
-            elapsed = self._elapsed + (time.perf_counter() - finish_start)
-            n_events = self._n_events
-            observe.inc("engine.runs")
-            observe.inc("engine.events", n_events)
-            observe.inc("engine.writes", total_writes)
-            observe.inc(
-                "engine.session_updates",
-                sum(installs) + sum(removes) + sum(hits),
-            )
-            observe.inc(
-                "engine.page_transitions",
-                sum(
-                    sum(per_size[i][0]) + sum(per_size[i][1])
-                    for i in range(len(self._page_sizes))
-                ),
-            )
-            observe.inc("engine.sessions_studied", len(result.sessions))
-            observe.inc("engine.sessions_discarded", result.n_discarded)
-            observe.note("engine.backend", "native")
-            if elapsed > 0:
-                observe.observe_value(
-                    "engine.events_per_sec", n_events / elapsed
-                )
-        if self._sample_counts:
-            observe_profile.get_profiler().record_engine(self._sample_counts)
-        return result
 
 
 def simulate_sessions_native(

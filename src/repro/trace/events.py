@@ -20,9 +20,8 @@ Two storage backings share this class:
   are replay-only: the ``append_*`` methods are not supported on them.
 
 Either backing exposes :meth:`as_arrays`, a zero-copy NumPy view of the
-columns — the input format of the vectorized simulation backend
-(:mod:`repro.simulate.vector_engine`).  The view aliases the trace's
-own buffers: appending to an append-backed trace after taking a view
+columns — what trace files are saved from and what chunks are sliced
+from.  The view aliases the trace's own buffers: appending to an append-backed trace after taking a view
 may reallocate the underlying buffers, so take views only when the
 trace is complete.
 """
@@ -212,12 +211,8 @@ class EventTrace:
 
     def _first_invalid_kind(self):
         """The first out-of-range kind byte, or ``None`` when all valid."""
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a hard dep
-            return next(
-                (int(k) for k in self.kinds if int(k) not in VALID_KINDS), None
-            )
+        import numpy as np
+
         kinds = self.as_arrays().kinds
         if kinds.size == 0:
             return None

@@ -383,12 +383,6 @@ class TraceStreamReader:
             return -(-self.n_events // self._chunk_events)
         return len(self._index)
 
-    @property
-    def chunk_events(self) -> int:
-        """Nominal events per chunk — the dispatcher's streaming size
-        hint (:func:`repro.simulate.simulate_chunks` forwards it)."""
-        return self._chunk_events
-
     def chunks(self) -> Iterator[TraceChunk]:
         """Yield verified chunks in sequence order."""
         if self._whole is not None:
@@ -456,7 +450,7 @@ def _load_v1(archive) -> Tuple[EventTrace, ObjectRegistry]:
         )
     # Adopt the .npz columns directly (no array('q') round-trip): the
     # loaded trace is replay-only, which is all phase 2 ever does with it,
-    # and the vectorized engine consumes the ndarrays zero-copy.
+    # and the native engine reads the ndarrays without a copy.
     trace = EventTrace.from_arrays(
         kinds, col_a, col_b, col_c, TraceMeta(**meta_doc["meta"])
     )

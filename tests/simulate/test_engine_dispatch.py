@@ -1,19 +1,16 @@
-"""Dispatcher fallback matrix: every ``engine`` request × every backend
-availability combination.
+"""Dispatcher matrix: every ``engine`` request × kernel availability.
 
-``resolve_engine`` has three inputs — the request, what is importable /
-compiled on this box, and the size signal (``n_events`` or the streaming
-``chunk_hint``).  This suite pins the full matrix:
+``resolve_engine`` has two inputs — the request and whether the native
+kernel loads on this box.  This suite pins the full matrix:
 
-* ``auto`` prefers native → numpy → python, degrading silently as
-  backends disappear;
-* explicit ``numpy``/``native`` requests are demands — an unavailable
-  backend raises :class:`PipelineError` rather than substituting;
-* small known traces stay scalar under ``auto`` regardless of what is
-  available, and the unknown-size streaming path (the deferred-auto
-  stream) makes the same choice once the size is known.
+* ``auto`` runs native when the kernel loads and python otherwise,
+  whatever the trace size;
+* ``python`` is always honored;
+* an explicit ``native`` request is a demand — an unavailable kernel
+  raises :class:`PipelineError` rather than substituting;
+* an unknown engine name is rejected.
 
-Availability is simulated by monkeypatching the probe functions (for
+Availability is simulated by monkeypatching the probe function (for
 resolution logic) and via ``REPRO_NATIVE_DISABLE`` (for the real
 loader's gate), so the matrix runs identically on boxes with and
 without a C toolchain.
@@ -22,9 +19,10 @@ without a C toolchain.
 import pytest
 
 import repro.simulate as sim
+from repro import observe
 from repro.errors import PipelineError
+from repro.sessions.types import ONE_HEAP, SessionDef
 from repro.simulate import (
-    AUTO_NUMPY_MIN_EVENTS,
     open_simulation_stream,
     resolve_engine,
     simulate_chunks,
@@ -33,225 +31,150 @@ from repro.simulate import (
 from repro.simulate._native import native_available
 from repro.simulate.engine import SimulationStream
 from repro.simulate.engine import simulate_sessions as simulate_python
+from repro.trace import EventTrace, ObjectRegistry
+from repro.trace.events import TraceMeta
 from repro.trace.stream import iter_chunks
 
-from test_vector_equivalence import assert_identical, build_random
-
-BIG = AUTO_NUMPY_MIN_EVENTS
-SMALL = AUTO_NUMPY_MIN_EVENTS - 1
+from test_engine_equivalence import assert_identical, build_random
 
 
 @pytest.fixture
-def availability(monkeypatch):
-    """Force the dispatcher's view of backend availability."""
+def disable_native(monkeypatch):
+    """Make the real loader report the kernel unavailable."""
+    monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+    native_available(refresh=True)
+    yield
+    monkeypatch.delenv("REPRO_NATIVE_DISABLE")
+    native_available(refresh=True)  # restore the memoized probe
 
-    def set_available(native=True, numpy=True):
-        monkeypatch.setattr(sim, "_native_available", lambda: native)
-        monkeypatch.setattr(sim, "_numpy_available", lambda: numpy)
 
-    return set_available
-
-
+@pytest.mark.parametrize("kernel", [True, False],
+                         ids=["kernel", "no-kernel"])
 class TestResolveMatrix:
-    """resolve_engine over request × availability × size."""
+    """resolve_engine over request × availability."""
 
-    @pytest.mark.parametrize("native,numpy,expected", [
-        (True, True, "native"),
-        (True, False, "native"),
-        (False, True, "numpy"),
-        (False, False, "python"),
-    ])
-    def test_auto_large_trace_prefers_native(
-        self, availability, native, numpy, expected
-    ):
-        availability(native=native, numpy=numpy)
-        assert resolve_engine("auto", BIG) == expected
+    @pytest.fixture(autouse=True)
+    def availability(self, monkeypatch, kernel):
+        monkeypatch.setattr(sim, "_native_available", lambda: kernel)
 
-    @pytest.mark.parametrize("native,numpy", [
-        (True, True), (True, False), (False, True), (False, False),
-    ])
-    def test_auto_small_trace_stays_scalar(self, availability, native, numpy):
-        availability(native=native, numpy=numpy)
-        assert resolve_engine("auto", SMALL) == "python"
+    def test_auto(self, kernel):
+        expected = "native" if kernel else "python"
+        # n_events is accepted and ignored: size never changes the choice.
+        for n_events in (None, 1, 4095, 4096, 1 << 20):
+            assert resolve_engine("auto", n_events=n_events) == expected
+        assert resolve_engine() == expected
 
-    @pytest.mark.parametrize("native,numpy", [
-        (True, True), (True, False), (False, True), (False, False),
-    ])
-    def test_python_is_always_honored(self, availability, native, numpy):
-        availability(native=native, numpy=numpy)
-        assert resolve_engine("python", BIG) == "python"
+    def test_python(self, kernel):
+        assert resolve_engine("python") == "python"
 
-    def test_explicit_numpy_demand_raises_without_numpy(self, availability):
-        availability(native=True, numpy=False)
-        with pytest.raises(PipelineError, match="numpy.*not importable"):
-            resolve_engine("numpy", BIG)
+    def test_native(self, kernel):
+        if kernel:
+            assert resolve_engine("native") == "native"
+        else:
+            with pytest.raises(PipelineError, match="native.*unavailable"):
+                resolve_engine("native")
 
-    def test_explicit_numpy_honored_even_with_native(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("numpy", BIG) == "numpy"
-
-    def test_explicit_native_demand_raises_without_kernel(self, availability):
-        availability(native=False, numpy=True)
-        with pytest.raises(PipelineError, match="native.*unavailable"):
-            resolve_engine("native", BIG)
-
-    def test_explicit_native_honored(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("native", SMALL) == "native"
-
-    def test_unknown_engine_rejected(self, availability):
-        availability()
+    def test_unknown(self, kernel):
         with pytest.raises(PipelineError, match="unknown engine"):
-            resolve_engine("cython")
-
-    def test_unknown_size_resolves_compiled(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", None) == "native"
-        availability(native=False, numpy=True)
-        assert resolve_engine("auto", None) == "numpy"
-        availability(native=False, numpy=False)
-        assert resolve_engine("auto", None) == "python"
+            resolve_engine("numpy")
 
 
-class TestChunkHint:
-    """The streaming size hint (satellite: ``--stream`` auto-dispatch)."""
-
-    def test_large_chunk_hint_commits_to_compiled(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", None, chunk_hint=BIG) == "native"
-        availability(native=False, numpy=True)
-        assert resolve_engine("auto", None, chunk_hint=BIG) == "numpy"
-
-    def test_small_chunk_hint_proves_nothing(self, availability):
-        # A small *chunk* does not mean a small *trace*: resolution
-        # falls through to the compiled preference (the deferred stream
-        # below is what protects genuinely tiny traces).
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", None, chunk_hint=SMALL) == "native"
-
-    def test_known_size_beats_chunk_hint(self, availability):
-        availability(native=True, numpy=True)
-        assert resolve_engine("auto", SMALL, chunk_hint=BIG) == "python"
-
-    def test_open_stream_defers_without_signal(self):
-        trace, registry, sessions = build_random(3)
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        assert isinstance(stream, sim._DeferredAutoStream)
-
-    def test_open_stream_commits_with_large_hint(self):
-        trace, registry, sessions = build_random(3)
-        stream = open_simulation_stream(
-            registry, sessions, (4096,), chunk_hint=BIG
-        )
-        assert not isinstance(stream, sim._DeferredAutoStream)
-
-    def test_deferred_tiny_stream_lands_on_scalar(self):
-        # The whole point of deferral: a tiny streamed trace must end up
-        # on the scalar engine, not pay compiled-backend setup.
-        trace, registry, sessions = build_random(3)
-        batch = simulate_python(trace, registry, sessions, (4096,))
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        for chunk in iter_chunks(trace, 25):
-            stream.feed_chunk(chunk)
-        assert stream._inner is None  # still buffering: under threshold
-        result = stream.finish(trace.meta, expected_events=len(trace))
-        assert isinstance(stream._inner, SimulationStream)
-        assert_identical(batch, result)
-
-    def test_deferred_large_stream_switches_to_compiled(self):
-        trace, registry, sessions = build_random(3)
-        batch = simulate_python(trace, registry, sessions, (4096,))
-        n = len(trace)
-        reps = AUTO_NUMPY_MIN_EVENTS // n + 1
-        cols = trace.as_arrays()
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        for _ in range(reps):
-            stream.feed(cols.kinds, cols.col_a, cols.col_b, cols.col_c)
-        assert stream._inner is not None
-        assert not isinstance(stream._inner, SimulationStream)
-        assert stream.events_fed == reps * n
-        result = stream.finish(trace.meta, expected_events=reps * n)
-        # Same trace repeated: per-session totals scale but stay exact —
-        # compare against the scalar stream fed identically.
-        ref = SimulationStream(registry, sessions, (4096,))
-        for _ in range(reps):
-            ref.feed(cols.kinds, cols.col_a, cols.col_b, cols.col_c)
-        assert_identical(ref.finish(trace.meta), result)
-
-    def test_deferred_stream_enforces_protocol(self):
-        trace, registry, sessions = build_random(3)
-        chunks = list(iter_chunks(trace, 25))
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        with pytest.raises(PipelineError, match="out of order"):
-            stream.feed_chunk(chunks[-1])
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        with pytest.raises(PipelineError, match="ragged feed"):
-            stream.feed([1, 1], [4, 8], [8, 12], [0])
-        stream = open_simulation_stream(registry, sessions, (4096,))
-        stream.feed_chunk(chunks[0])
-        with pytest.raises(PipelineError, match="truncated chunk stream"):
-            stream.finish(trace.meta, expected_events=len(trace))
-        with pytest.raises(PipelineError, match="finished"):
-            stream.finish(trace.meta)
-
-    def test_simulate_chunks_forwards_reader_hint(self, tmp_path):
-        from repro.sessions.types import SessionDef, ONE_HEAP
-        from repro.trace import EventTrace, ObjectRegistry
-        from repro.trace.tracefile import TraceStreamReader, save_trace_chunked
-
-        registry = ObjectRegistry()
-        registry.heap("f", ("main", "f"), 16)
-        trace = EventTrace("hint")
+def trace_of(n_events):
+    """An ``n_events``-long trace: one install, writes inside and
+    outside the object, one remove (fewer than two events: writes)."""
+    registry = ObjectRegistry()
+    registry.heap("f", ("main", "f"), 16)
+    trace = EventTrace(TraceMeta(program=f"n{n_events}"))
+    bracket = n_events >= 2
+    if bracket:
         trace.append_install(0, 0x1000, 0x1010)
-        for i in range(300):
-            trace.append_write(0x1000 + 4 * (i % 8), 0x1004 + 4 * (i % 8))
+    for i in range(n_events - 2 * bracket):
+        trace.append_write(0x1000 + 4 * (i % 6), 0x1004 + 4 * (i % 6))
+    if bracket:
         trace.append_remove(0, 0x1000, 0x1010)
-        sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
-        path = tmp_path / "t.npz"
-        save_trace_chunked(trace, registry, path, chunk_events=50)
-        batch = simulate_python(trace, registry, sessions, (4096,))
-        with TraceStreamReader(path, chunk_events=50) as reader:
-            assert reader.chunk_events == 50
-            streamed = simulate_chunks(reader, registry, sessions, (4096,))
-        assert_identical(batch, streamed)
+    assert len(trace) == n_events
+    return trace, registry, [SessionDef(0, ONE_HEAP, "s0", (0,))]
+
+
+class TestTinyTrace:
+    """A 50-event trace runs on whichever engine ``auto`` resolves to —
+    native when the kernel loads — in batch and as a stream with no
+    size hint, and matches the scalar result."""
+
+    n_events = 50
+
+    def backends_of_auto_runs(self):
+        trace, registry, sessions = trace_of(self.n_events)
+        scalar = simulate_python(trace, registry, sessions, (4096,))
+        observe.enable()
+        observe.reset()
+        try:
+            batch = simulate_sessions(trace, registry, sessions, (4096,))
+            streamed = simulate_chunks(
+                iter_chunks(trace, 7), registry, sessions, (4096,),
+                meta=trace.meta,
+            )
+            notes = observe.get_registry().snapshot()["notes"]
+        finally:
+            observe.reset()
+            observe.disable()
+        assert_identical(scalar, batch)
+        assert_identical(scalar, streamed)
+        return notes["engine.backend"]
+
+    @pytest.mark.skipif(not native_available(),
+                        reason="native kernel unavailable")
+    def test_runs_native_when_kernel_loads(self):
+        assert self.backends_of_auto_runs() == ["native", "native"]
+
+    def test_runs_python_without_kernel(self, disable_native):
+        assert self.backends_of_auto_runs() == ["python", "python"]
+
+
+@pytest.mark.parametrize("n_events", [1, 2, 4095, 4096, 4097])
+class TestAroundFormerThreshold(TestTinyTrace):
+    """Traces either side of the 4,096 events that once sent ``auto``
+    to a different engine: the backend still depends only on whether
+    the kernel loads."""
+
+    @pytest.fixture(autouse=True)
+    def size(self, n_events):
+        self.n_events = n_events
 
 
 class TestRealLoaderGate:
     """The actual loader's availability gate (not the monkeypatched view)."""
 
-    def test_disable_env_forces_unavailable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        assert not native_available(refresh=True)
+    def test_disable_env_forces_unavailable(self, disable_native):
+        assert not native_available()
+        trace, registry, sessions = build_random(1)
         with pytest.raises(PipelineError, match="native"):
-            trace, registry, sessions = build_random(1)
             simulate_sessions(trace, registry, sessions, (4096,),
                               engine="native")
-        monkeypatch.delenv("REPRO_NATIVE_DISABLE")
-        native_available(refresh=True)  # restore the memoized probe
 
-    def test_auto_degrades_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        native_available(refresh=True)
+    def test_auto_degrades_when_disabled(self, disable_native):
         trace, registry, sessions = build_random(1)
         batch = simulate_python(trace, registry, sessions, (4096,))
         result = simulate_sessions(trace, registry, sessions, (4096,),
                                    engine="auto")
         assert_identical(batch, result)
-        monkeypatch.delenv("REPRO_NATIVE_DISABLE")
-        native_available(refresh=True)
+
+    def test_auto_stream_degrades_when_disabled(self, disable_native):
+        trace, registry, sessions = build_random(1)
+        stream = open_simulation_stream(registry, sessions, (4096,))
+        assert type(stream) is SimulationStream
+        stream.feed_chunk(next(iter_chunks(trace, len(trace))))
+        assert_identical(
+            simulate_python(trace, registry, sessions, (4096,)),
+            stream.finish(trace.meta, expected_events=len(trace)),
+        )
 
     @pytest.mark.skipif(
         not native_available(), reason="native kernel unavailable"
     )
-    def test_native_stream_raises_when_disabled(self, monkeypatch):
+    def test_native_stream_raises_when_disabled(self, disable_native):
         from repro.simulate.native_engine import NativeSimulationStream
 
         trace, registry, sessions = build_random(1)
-        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        native_available(refresh=True)
-        try:
-            with pytest.raises(PipelineError, match="unavailable"):
-                NativeSimulationStream(registry, sessions, (4096,))
-        finally:
-            monkeypatch.delenv("REPRO_NATIVE_DISABLE")
-            native_available(refresh=True)
+        with pytest.raises(PipelineError, match="unavailable"):
+            NativeSimulationStream(registry, sessions, (4096,))

@@ -32,9 +32,7 @@ from repro.trace.stream import (
     TraceChunk,
     column_crc32,
     iter_chunks,
-    note_retained_chunks,
     peak_resident_chunks,
-    retained_chunks,
 )
 from repro.workloads import Workload, run_workload
 
@@ -261,56 +259,33 @@ class TestChunkChannel:
         observe.reset()
         assert peak_resident_chunks() == 0
 
-    def test_retained_chunks_fold_into_peak(self):
-        """Consumer-retained chunk state counts toward the bounded-memory
-        gauge: queued + retained is what the peak tracks."""
-        observe.enable()
-        observe.reset()
-        channel = ChunkChannel(capacity=8)
-        for seq in range(2):
-            channel.put(make_chunk(seq, n=5))
-        assert peak_resident_chunks() == 2
-        note_retained_chunks(1)
-        note_retained_chunks(1)
-        assert retained_chunks() == 2
-        assert peak_resident_chunks() == 4  # 2 queued + 2 retained
-        snapshot = observe.get_registry().snapshot()
-        assert snapshot["gauges"]["stream.retained_chunks"] == 2
-        assert snapshot["gauges"]["stream.peak_resident_chunks"] == 4
-        note_retained_chunks(-2)
-        assert retained_chunks() == 0
-        channel.close()
-        list(channel)
-        # Releases never lower the high-water mark...
-        assert peak_resident_chunks() == 4
-        # ...and reset clears both legs.
-        observe.reset()
-        assert peak_resident_chunks() == 0
-        assert retained_chunks() == 0
-
-    def test_vector_stream_reports_retained_feeds(self):
-        """Sub-kernel-size batches buffered by the NumPy simulation
-        stream are visible to the gauge while held."""
-        from repro.simulate.vector_engine import VectorSimulationStream
+    def test_native_stream_retains_no_fed_batch(self):
+        """The native simulation stream consumes each batch inside
+        ``feed``: nothing outlives delivery for the gauge to count, and
+        overwriting a fed batch cannot change the result."""
+        from repro.simulate._native import native_available
+        from repro.simulate.native_engine import NativeSimulationStream
         from repro.trace.objects import ObjectRegistry
         from repro.sessions.types import SessionDef, ONE_HEAP
 
+        if not native_available():
+            pytest.skip("native kernel unavailable")
         observe.enable()
         observe.reset()
         registry = ObjectRegistry()
         registry.heap("f", ("main", "f"), 16)
         sessions = [SessionDef(0, ONE_HEAP, "s0", (0,))]
-        stream = VectorSimulationStream(registry, sessions, (4096,))
+        stream = NativeSimulationStream(registry, sessions, (4096,))
         kinds = np.full(8, int(EventKind.WRITE), np.int8)
         addrs = np.arange(8, dtype=np.int64) * 4
-        stream.feed(kinds, addrs, addrs + 4, np.zeros(8, np.int64))
-        assert retained_chunks() == 1
-        stream.feed(kinds, addrs, addrs + 4, np.zeros(8, np.int64))
-        assert retained_chunks() == 2
-        assert peak_resident_chunks() == 2
-        stream.finish(TraceMeta(), expected_events=16)
-        # finish() flushes the coalescing buffer and releases the hold.
-        assert retained_chunks() == 0
+        ends = addrs + 4
+        zeros = np.zeros(8, np.int64)
+        stream.feed(kinds, addrs, ends, zeros)
+        stream.feed(kinds, addrs, ends, zeros)
+        kinds[:] = int(EventKind.INSTALL)
+        assert peak_resident_chunks() == 0
+        result = stream.finish(TraceMeta(), expected_events=16)
+        assert result.total_writes == 16
         observe.reset()
 
 
