@@ -57,7 +57,6 @@ from typing import List, Optional
 from repro import faults, observe
 from repro.errors import (
     FaultSpecError,
-    JournalError,
     ManifestFormatError,
     PipelineError,
     ReproError,
@@ -69,7 +68,12 @@ from repro.experiments.breakdown import render_breakdown_report
 from repro.experiments.code_expansion import render_code_expansion_report
 from repro.experiments.figures789 import render_figures_report
 from repro.experiments.hotspots import render_hotspots_report
-from repro.experiments.pipeline import ExperimentConfig, load_experiment_data
+from repro.experiments.pipeline import (
+    ExperimentConfig,
+    load_experiment_data,
+    sim_cache_path,
+)
+from repro.experiments.store import ResultStore, _atomic_write_bytes
 from repro.experiments.table1 import render_table1_report
 from repro.experiments.table2 import render_table2_report
 from repro.experiments.table3 import render_table3_report
@@ -77,6 +81,7 @@ from repro.experiments.table4 import render_table4_report
 from repro.experiments.whatif import render_whatif_report
 from repro.simulate import ENGINE_CHOICES
 from repro.trace.stream import DEFAULT_CHUNK_EVENTS
+from repro.workloads import WORKLOADS
 from repro.observe.diff import DiffThresholds, diff_manifests, render_diff_report
 from repro.observe.events import SEVERITIES, rank_severity
 
@@ -103,7 +108,7 @@ _EXIT_CODE_DOC = (
     "manifest's 'failures' section); 4 fatal pipeline error; "
     "5 other classified error; 6 worker or I/O failure after retries; "
     "128+signum (130 SIGINT, 143 SIGTERM) after a graceful shutdown — "
-    "the run journal is sealed and the black box dumped before exit."
+    "the black box is dumped before exit."
 )
 
 
@@ -256,22 +261,23 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--run-id", default=None, metavar="NAME",
-        help="journal this run under NAME: a write-ahead, checksummed "
-        "JSONL record of per-program intent/completion is appended to "
-        "<runs-dir>/NAME.journal.jsonl, making the run resumable after "
-        "a crash with '--resume NAME' (see docs/RESILIENCE.md)",
+        help="name this run: the record <runs-dir>/NAME.run.json is "
+        "written atomically before the pipeline starts, so the run can "
+        "be resumed after a crash with '--resume NAME' (see "
+        "docs/RESILIENCE.md)",
     )
     parser.add_argument(
         "--resume", default=None, metavar="NAME",
-        help="resume the journaled run NAME: replay its journal, skip "
-        "programs whose completion is recorded AND whose cache entries "
-        "still pass their integrity check, re-execute the rest, and "
-        "keep journaling under the same NAME; output is bit-identical "
-        "to an uninterrupted run",
+        help="resume the run NAME (exit 2 if it has no record): a plain "
+        "rerun against the verified store — programs whose simulation "
+        "entry passes its integrity check load from it, the rest "
+        "re-execute, and the resume.tasks_skipped/resume.tasks_replayed "
+        "gauges count which; output is bit-identical to an "
+        "uninterrupted run",
     )
     parser.add_argument(
         "--runs-dir", default=None, metavar="DIR",
-        help="where run journals live (default: <cache-dir>/runs)",
+        help="where run records live (default: <cache-dir>/runs)",
     )
     return parser.parse_args(argv)
 
@@ -577,7 +583,7 @@ def _parse_store_args(argv):
         "(.repro_cache).  'verify' audits every entry against its "
         "embedded content digest (or container checksums) and exits 1 "
         "if any entry is corrupt; 'gc' removes orphaned temp files and "
-        "corrupt entries.  Run journals under runs/ are left alone.",
+        "corrupt entries.  Run records under runs/ are left alone.",
     )
     parser.add_argument("action", choices=("verify", "gc"),
                         help="what to do")
@@ -600,12 +606,10 @@ def _store_main(argv) -> int:
     args = _parse_store_args(argv)
     from repro.experiments.store import (
         STATUS_CORRUPT,
-        STATUS_LEGACY,
         STATUS_NPZ,
         STATUS_OTHER,
         STATUS_TMP,
         STATUS_V3,
-        ResultStore,
     )
 
     store = ResultStore(Path(args.cache_dir))
@@ -618,7 +622,6 @@ def _store_main(argv) -> int:
                 f"store verify: {len(report.entries)} entr(ies) under "
                 f"{args.cache_dir} — "
                 f"{report.count(STATUS_V3)} enveloped, "
-                f"{report.count(STATUS_LEGACY)} legacy, "
                 f"{report.count(STATUS_NPZ)} trace, "
                 f"{report.count(STATUS_TMP)} temp, "
                 f"{report.count(STATUS_OTHER)} other, "
@@ -753,10 +756,9 @@ def main(argv=None) -> int:
         try:
             code = _run(args, config)
         except ShutdownRequested as exc:
-            # Graceful shutdown: _run's finally already sealed the
-            # journal and the scheduler's finally released the pool and
-            # shared memory on the way out; dump the black box and exit
-            # with the conventional 128+signum code.
+            # Graceful shutdown: the scheduler's finally released the
+            # pool and shared memory on the way out; dump the black box
+            # and exit with the conventional 128+signum code.
             code = 128 + exc.signum
             observe.emit_event("run.interrupted", "WARNING",
                                signal=exc.signum, code=code)
@@ -797,8 +799,7 @@ def _blackbox_path(args) -> Path:
         return Path(args.manifest).with_suffix(".blackbox.jsonl")
     if args.events:
         return Path(args.events).with_suffix(".blackbox.jsonl")
-    runs = Path(args.runs_dir) if args.runs_dir else Path(args.cache_dir) / "runs"
-    return runs / "repro.blackbox.jsonl"
+    return _runs_dir(args) / "repro.blackbox.jsonl"
 
 
 def _dump_blackbox(args) -> None:
@@ -816,71 +817,77 @@ def _dump_blackbox(args) -> None:
           file=sys.stderr)
 
 
-def _open_journal(args, config: ExperimentConfig, progress):
-    """Open the run journal for ``--run-id``/``--resume``, else ``None``.
+def _runs_dir(args) -> Path:
+    """Where run records live: ``--runs-dir``, default ``<cache-dir>/runs``."""
+    return Path(args.runs_dir) if args.runs_dir else Path(args.cache_dir) / "runs"
 
-    For ``--resume`` the prior journal is replayed first and the skip/
-    re-execute split planned: a task is skipped only when its completion
-    is journaled for the *current* task digest and every store entry the
-    record references still passes its integrity check.  The split lands
-    in the ``resume.tasks_skipped``/``resume.tasks_replayed`` gauges (and
-    thus the manifest).  Raises :class:`JournalError` when the journal
-    cannot be replayed or opened.
+
+def _run_record_path(args, name: str) -> Path:
+    return _runs_dir(args) / f"{name}.run.json"
+
+
+def _start_run(args, config: ExperimentConfig, progress) -> Optional[str]:
+    """Handle ``--run-id``/``--resume``; returns an error message or ``None``.
+
+    ``--run-id NAME`` atomically writes ``<runs-dir>/NAME.run.json``.
+    The record only names the run; nothing is appended to it later.
+
+    ``--resume NAME`` requires that record, then runs as a plain rerun:
+    every trace and simulation entry is content-addressed and published
+    atomically, so the store alone decides what a rerun skips.  Each
+    program counts as skipped when its simulation entry passes
+    :meth:`ResultStore.entry_ok` (the rerun will load it) and as
+    replayed otherwise, so the ``resume.tasks_skipped`` /
+    ``resume.tasks_replayed`` gauges equal the run's ``cache.sim.hits`` /
+    ``cache.sim.misses``.  With the cache off nothing is skipped.
     """
-    run_name = args.resume or args.run_id
-    if not run_name:
-        return None
-    from repro.experiments.journal import (
-        RunJournal,
-        journal_path,
-        plan_resume,
-        replay_journal,
-    )
-    from repro.experiments.store import ResultStore
-
-    override = Path(args.runs_dir) if args.runs_dir else None
-    path = journal_path(run_name, config, override)
-    if args.resume:
-        replay = replay_journal(path)
-        plan = plan_resume(replay, config, ResultStore(config.cache_dir))
-        observe.set_gauge("resume.tasks_skipped", len(plan.skipped))
-        observe.set_gauge("resume.tasks_replayed", len(plan.replayed))
-        observe.emit_event(
-            "journal.resume", run=run_name,
-            prior_status=replay.status or "unsealed",
-            skipped=len(plan.skipped), replayed=len(plan.replayed),
-            torn=replay.torn,
-        )
+    if args.run_id:
+        path = _run_record_path(args, args.run_id)
+        record = json.dumps({"run": args.run_id}, sort_keys=True) + "\n"
+        try:
+            _atomic_write_bytes(record.encode("utf-8"), path)
+        except OSError as exc:
+            return f"cannot write run record {path}: {exc}"
         if progress:
-            progress(
-                f"resuming run {run_name!r} ({replay.records} journal "
-                f"record(s), prior status "
-                f"{replay.status or 'unsealed'}): skipping "
-                f"{len(plan.skipped)} verified task(s) "
-                f"[{', '.join(plan.skipped) or '-'}], re-executing "
-                f"{len(plan.replayed)} [{', '.join(plan.replayed) or '-'}]"
-            )
-            if plan.config_changed:
-                progress(
-                    "note: configuration differs from the journaled run; "
-                    "tasks whose digests changed re-execute"
-                )
-    journal = RunJournal(path, run_id=run_name)
-    journal.begin(config, resumed_from=args.resume)
-    if progress and not args.resume:
-        progress(f"journaling run {run_name!r} to {path}")
-    return journal
+            progress(f"run {args.run_id!r} recorded at {path}")
+        return None
+    if not args.resume:
+        return None
+    path = _run_record_path(args, args.resume)
+    try:
+        record = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        return (f"no run named {args.resume!r} (no record at {path}); "
+                f"start one with --run-id")
+    except (OSError, ValueError) as exc:
+        return f"cannot read run record {path}: {exc}"
+    if not isinstance(record, dict) or record.get("run") != args.resume:
+        return f"{path} is not the record of run {args.resume!r}"
+    store = ResultStore(config.cache_dir)
+    skipped, replayed = [], []
+    for program in config.programs:
+        workload = WORKLOADS.get(program)
+        verified = (
+            config.use_cache and workload is not None
+            and store.entry_ok(sim_cache_path(
+                workload, config.scale_of(workload), config).name)
+        )
+        (skipped if verified else replayed).append(program)
+    observe.set_gauge("resume.tasks_skipped", len(skipped))
+    observe.set_gauge("resume.tasks_replayed", len(replayed))
+    observe.emit_event("run.resume", run=args.resume,
+                       skipped=len(skipped), replayed=len(replayed))
+    if progress:
+        progress(
+            f"resuming run {args.resume!r}: {len(skipped)} program(s) "
+            f"verified in the store [{', '.join(skipped) or '-'}], "
+            f"re-executing {len(replayed)} [{', '.join(replayed) or '-'}]"
+        )
+    return None
 
 
 def _run(args, config: ExperimentConfig) -> int:
-    """Execute one experiment target; classified errors exit cleanly.
-
-    Owns the journal lifecycle: opened (and for ``--resume`` replayed)
-    before the pipeline, sealed in ``finally`` with the run's terminal
-    status — ``complete``, ``partial``, ``failed``, or ``interrupted``
-    when a SIGINT/SIGTERM unwinds through as
-    :class:`ShutdownRequested`.
-    """
+    """Execute one experiment target; classified errors exit cleanly."""
     progress = None if args.quiet else lambda msg: print(f"  .. {msg}", file=sys.stderr)
     observing = bool(
         args.manifest or args.metrics or args.history
@@ -905,37 +912,11 @@ def _run(args, config: ExperimentConfig) -> int:
     if args.profile:
         observe.enable_profiling(args.profile_stride)
 
-    try:
-        journal = _open_journal(args, config, progress)
-    except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    problem = _start_run(args, config, progress)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    if journal is None:
-        return _execute(args, config, progress, journal=None)
-    status = "failed"
-    code: Optional[int] = None
-    try:
-        code = _execute(args, config, progress, journal=journal)
-        status = "complete" if code == EXIT_OK else (
-            "partial" if code == EXIT_PARTIAL else "failed"
-        )
-        return code
-    except ShutdownRequested as exc:
-        status, code = "interrupted", 128 + exc.signum
-        raise
-    finally:
-        try:
-            journal.seal(status, exit_code=code)
-        except Exception as exc:
-            # Sealing is best-effort on the way out: an unsealed journal
-            # replays as in-flight, which only means extra re-execution.
-            print(f"warning: could not seal journal {journal.path}: {exc}",
-                  file=sys.stderr)
-        journal.close()
 
-
-def _execute(args, config: ExperimentConfig, progress, journal) -> int:
-    """The pipeline + report + manifest body of one run."""
     needs_data = args.target not in ("table2", "expansion")
     failures: List[FailureRecord] = []
     data = None
@@ -949,7 +930,6 @@ def _execute(args, config: ExperimentConfig, progress, journal) -> int:
                     worker_timeout=args.worker_timeout,
                     keep_going=args.keep_going,
                     failures=failures,
-                    journal=journal,
                 )
         except Exception as exc:
             # Classified failures exit with a stable code and one line on

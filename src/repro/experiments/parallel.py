@@ -68,7 +68,7 @@ from repro.experiments.pipeline import (
     RETRY_BASE_S,
     load_program_data,
     load_programs_serial,
-    retry_backoff_s,
+    settle_failure,
     sim_cache_path,
     trace_cache_path,
 )
@@ -325,11 +325,14 @@ def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """
     if pool is None:
         return
+    # Snapshot the workers first: shutdown() drops the executor's
+    # reference to them.
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+    for proc in procs:
         try:
             proc.kill()
         except Exception:
@@ -350,7 +353,6 @@ def load_experiment_data_parallel(
     keep_going: bool = False,
     failures: Optional[List[FailureRecord]] = None,
     retry_base_s: float = RETRY_BASE_S,
-    journal=None,
 ) -> Dict[str, ProgramData]:
     """Phase 1 + phase 2 for every configured program, fanned out.
 
@@ -358,12 +360,6 @@ def load_experiment_data_parallel(
     programs (extra workers would sit idle).  With one job or one
     program this degrades to the (equally resilient) serial path.
     See the module docstring for the retry/timeout/keep-going policy.
-
-    ``journal`` (a :class:`~repro.experiments.journal.RunJournal`) is
-    written parent-side only: intent at dispatch, completion after the
-    worker's results (already atomically published to the cache by the
-    worker) come home, failure when retries are exhausted.  Workers
-    never touch the journal — one writer, no interleaving.
     """
     jobs = config.jobs if jobs is None else jobs
     names = list(config.programs)
@@ -371,7 +367,7 @@ def load_experiment_data_parallel(
     if jobs == 1 or len(names) <= 1:
         return load_programs_serial(
             config, names, progress, retries=retries, keep_going=keep_going,
-            failures=failures, retry_base_s=retry_base_s, journal=journal,
+            failures=failures, retry_base_s=retry_base_s,
         )
 
     # A previous run SIGKILLed before its `finally` unlink may have left
@@ -415,72 +411,29 @@ def load_experiment_data_parallel(
                    "error": error},
         ))
 
-    def fail_task(task: _Task, exc: BaseException) -> None:
-        """Final failure for one program: record, and abort unless
-        keeping going (the abort cancels queued work and kills live
-        workers so it doesn't burn CPU on results nobody will see)."""
-        nonlocal pool
-        elapsed = time.perf_counter() - task.started if task.started else 0.0
-        record = FailureRecord(
-            program=task.name, error=type(exc).__name__, message=str(exc),
-            attempts=max(1, task.attempts), elapsed_s=elapsed,
-        )
-        observe.inc("fault.program.failed")
-        observe.note(
-            "failures",
-            f"{record.program}: {record.error} after {record.attempts} "
-            f"attempt(s): {record.message}",
-        )
-        observe.emit_event(
-            "program.failed", "ERROR", program=task.name, error=record.error,
-            attempts=record.attempts, kept_going=keep_going,
-        )
-        if journal is not None:
-            journal.failed_for(task.name, config, record.error,
-                               attempts=record.attempts)
-        publisher.release(task.name)
-        if keep_going:
-            if failures is not None:
-                failures.append(record)
-            if progress:
-                progress(
-                    f"[{task.name}] FAILED ({record.error}) after "
-                    f"{record.attempts} attempt(s); continuing without it "
-                    f"(--keep-going)"
-                )
-            return
-        if progress:
-            progress(
-                f"[{task.name}] fatal {record.error}; aborting and "
-                f"cancelling the remaining programs"
-            )
-        _kill_pool(pool)
-        pool = None
-        running.clear()
-        submit_s.clear()
-        raise exc
-
     def handle_failure(task: _Task, exc: BaseException, started: float) -> None:
-        """One attempt ended in ``exc``: retry with backoff or fail."""
+        """One attempt ended in ``exc``: back off for a retry or fail."""
+        nonlocal pool
         record_attempt_span(task, started, type(exc).__name__)
         task.attempts += 1
-        transient = faults.classify_failure(exc) == "transient"
-        if not transient or task.attempts >= max_attempts:
-            fail_task(task, exc)
-            return
-        delay = retry_backoff_s(task.attempts, retry_base_s)
-        observe.inc("retry.attempts")
-        observe.observe_value("retry.backoff_seconds", delay)
-        observe.emit_event(
-            "program.retry", "WARNING", program=task.name,
-            attempt=task.attempts, max_attempts=max_attempts,
-            backoff_s=delay, error=type(exc).__name__,
-        )
-        if progress:
-            progress(
-                f"[{task.name}] {type(exc).__name__}: {exc}; retrying in "
-                f"{delay:.2f}s (attempt {task.attempts + 1}/{max_attempts})"
+        elapsed = time.perf_counter() - task.started if task.started else 0.0
+        try:
+            delay = settle_failure(
+                task.name, exc, task.attempts, elapsed,
+                max_attempts=max_attempts, retry_base_s=retry_base_s,
+                keep_going=keep_going, failures=failures, progress=progress,
             )
+        except BaseException:
+            # Aborting: cancel queued work and kill live workers so the
+            # abort does not burn CPU on results nobody will see.
+            _kill_pool(pool)
+            pool = None
+            running.clear()
+            submit_s.clear()
+            raise
+        if delay is None:
+            publisher.release(task.name)
+            return
         task.not_before = time.perf_counter() + delay
         pending.append(task)
 
@@ -499,7 +452,7 @@ def load_experiment_data_parallel(
                 data.update(load_programs_serial(
                     config, remaining, progress, retries=retries,
                     keep_going=keep_going, failures=failures,
-                    retry_base_s=retry_base_s, journal=journal,
+                    retry_base_s=retry_base_s,
                 ))
                 break
 
@@ -522,10 +475,6 @@ def load_experiment_data_parallel(
                 if not task.started:
                     task.started = now
                 attempt = task.attempts + 1
-                if journal is not None:
-                    # Write-ahead: the intent is durable before the
-                    # worker process ever sees the task.
-                    journal.intent_for(task.name, config, attempt=attempt)
                 future = pool.submit(
                     _run_worker, task.name, config, observing, profile_stride,
                     fault_spec, fault_seed, attempt, events_on, run_id,
@@ -582,8 +531,6 @@ def load_experiment_data_parallel(
                     continue
                 done_s = time.perf_counter()
                 data[task.name] = program_data
-                if journal is not None:
-                    journal.done_for(task.name, config)
                 publisher.release(task.name)
                 if progress:
                     progress(

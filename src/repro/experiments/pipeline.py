@@ -198,7 +198,7 @@ _WORKLOAD_KEY_CACHE: Dict[Tuple[str, int], str] = {}
 
 def _workload_key(workload: Workload, scale: int) -> str:
     # Memoized: generating a workload's source costs tens of ms, and
-    # the key is needed on every cache probe *and* journal append.
+    # the key is needed on every cache probe (and resume check).
     # Source generation is deterministic per (workload, scale) and the
     # registry is static, so the key never changes within a process.
     cache_key = (workload.name, scale)
@@ -677,18 +677,47 @@ def load_program_data(
     return ProgramData(name=name, scale=scale, **payload)
 
 
-def _record_failure(
+def settle_failure(
     name: str,
     exc: BaseException,
     attempts: int,
     elapsed_s: float,
+    *,
+    max_attempts: int,
+    retry_base_s: float,
     keep_going: bool,
     failures: Optional[List[FailureRecord]],
     progress: Progress,
-) -> None:
-    """Account one program's final failure; re-raise unless keeping going."""
+) -> Optional[float]:
+    """The retry/failure policy: attempt ``attempts`` of ``name`` ended
+    in ``exc``; decide what happens next.
+
+    Serial and parallel runs both call this, so the decision and its
+    telemetry have one implementation.  A transient failure
+    (:func:`repro.faults.classify_failure`) with attempts left is
+    accounted as a retry and the capped exponential backoff is returned;
+    the caller waits that long before the next attempt.  Anything else
+    is the program's final failure, recorded as a :class:`FailureRecord`:
+    under ``keep_going`` it is appended to ``failures`` and ``None`` is
+    returned, otherwise ``exc`` is re-raised to abort the run.
+    """
+    error = type(exc).__name__
+    if faults.classify_failure(exc) == "transient" and attempts < max_attempts:
+        delay = retry_backoff_s(attempts, retry_base_s)
+        observe.inc("retry.attempts")
+        observe.observe_value("retry.backoff_seconds", delay)
+        observe.emit_event(
+            "program.retry", "WARNING", program=name, attempt=attempts,
+            max_attempts=max_attempts, backoff_s=delay, error=error,
+        )
+        if progress:
+            progress(
+                f"[{name}] transient {error}: {exc}; retrying in "
+                f"{delay:.2f}s (attempt {attempts + 1}/{max_attempts})"
+            )
+        return delay
     record = FailureRecord(
-        program=name, error=type(exc).__name__, message=str(exc),
+        program=name, error=error, message=str(exc),
         attempts=max(1, attempts), elapsed_s=elapsed_s,
     )
     observe.inc("fault.program.failed")
@@ -698,18 +727,21 @@ def _record_failure(
         f"attempt(s): {record.message}",
     )
     observe.emit_event(
-        "program.failed", "ERROR", program=name, error=record.error,
+        "program.failed", "ERROR", program=name, error=error,
         attempts=record.attempts, kept_going=keep_going,
     )
     if not keep_going:
+        if progress:
+            progress(f"[{name}] fatal {error}; aborting the run")
         raise exc
     if failures is not None:
         failures.append(record)
     if progress:
         progress(
-            f"[{name}] FAILED ({record.error}) after {record.attempts} "
+            f"[{name}] FAILED ({error}) after {record.attempts} "
             f"attempt(s); continuing without it (--keep-going)"
         )
+    return None
 
 
 def load_programs_serial(
@@ -721,22 +753,14 @@ def load_programs_serial(
     keep_going: bool = False,
     failures: Optional[List[FailureRecord]] = None,
     retry_base_s: float = RETRY_BASE_S,
-    journal=None,
 ) -> Dict[str, ProgramData]:
-    """Run ``names`` in-process, with the shared retry/failure policy.
+    """Run ``names`` in-process under :func:`settle_failure`'s policy.
 
-    Transient failures (:func:`repro.faults.classify_failure`) are
-    retried up to ``retries`` times with capped exponential backoff;
-    fatal ones are not.  A program that still fails either aborts the
-    run (default) or, under ``keep_going``, is recorded in ``failures``
-    and skipped so the surviving programs still produce tables.
-
-    ``journal`` (a :class:`repro.experiments.journal.RunJournal`) makes
-    the loop write-ahead: every attempt records its intent before work
-    starts and its completion only after the results were published, so
-    a crash at any instant leaves a replayable record.  Journal appends
-    sit inside the per-attempt ``try`` — a transiently failing journal
-    write retries with the task.
+    Transient failures are retried up to ``retries`` times with capped
+    exponential backoff; fatal ones are not.  A program that still fails
+    either aborts the run (default) or, under ``keep_going``, is
+    recorded in ``failures`` and skipped so the surviving programs still
+    produce tables.
     """
     max_attempts = max(1, retries + 1)
     data: Dict[str, ProgramData] = {}
@@ -745,40 +769,18 @@ def load_programs_serial(
         attempts = 0
         while True:
             try:
-                if journal is not None:
-                    journal.intent_for(name, config, attempt=attempts + 1)
                 data[name] = load_program_data(name, config, progress)
-                if journal is not None:
-                    journal.done_for(name, config)
                 break
             except Exception as exc:
                 attempts += 1
-                transient = faults.classify_failure(exc) == "transient"
-                if not transient or attempts >= max_attempts:
-                    if journal is not None:
-                        journal.failed_for(
-                            name, config, type(exc).__name__,
-                            attempts=attempts,
-                        )
-                    _record_failure(
-                        name, exc, attempts, time.monotonic() - started,
-                        keep_going, failures, progress,
-                    )
-                    break
-                delay = retry_backoff_s(attempts, retry_base_s)
-                observe.inc("retry.attempts")
-                observe.observe_value("retry.backoff_seconds", delay)
-                observe.emit_event(
-                    "program.retry", "WARNING", program=name,
-                    attempt=attempts, max_attempts=max_attempts,
-                    backoff_s=delay, error=type(exc).__name__,
+                delay = settle_failure(
+                    name, exc, attempts, time.monotonic() - started,
+                    max_attempts=max_attempts, retry_base_s=retry_base_s,
+                    keep_going=keep_going, failures=failures,
+                    progress=progress,
                 )
-                if progress:
-                    progress(
-                        f"[{name}] transient {type(exc).__name__}: {exc}; "
-                        f"retrying in {delay:.2f}s "
-                        f"(attempt {attempts + 1}/{max_attempts})"
-                    )
+                if delay is None:
+                    break
                 time.sleep(delay)
     return data
 
@@ -791,7 +793,6 @@ def load_experiment_data(
     worker_timeout: Optional[float] = None,
     keep_going: bool = False,
     failures: Optional[List[FailureRecord]] = None,
-    journal=None,
 ) -> Dict[str, ProgramData]:
     """Phase 1 + phase 2 for every configured program.
 
@@ -800,22 +801,20 @@ def load_experiment_data(
     observation is on, each worker's metrics/spans are identical to a
     serial run's, modulo the extra ``worker:<name>`` spans.
 
-    Both paths share one failure policy: transient errors retry with
-    capped exponential backoff, fatal ones abort (or are recorded into
-    ``failures`` under ``keep_going``); ``worker_timeout`` additionally
-    bounds each parallel worker's wall clock.  ``journal`` threads a
-    write-ahead :class:`~repro.experiments.journal.RunJournal` through
-    whichever path runs (the parent journals for its workers).
+    Both paths share one failure policy (:func:`settle_failure`):
+    transient errors retry with capped exponential backoff, fatal ones
+    abort (or are recorded into ``failures`` under ``keep_going``);
+    ``worker_timeout`` additionally bounds each parallel worker's wall
+    clock.
     """
     if config.jobs > 1 and len(config.programs) > 1:
         from repro.experiments.parallel import load_experiment_data_parallel
 
         return load_experiment_data_parallel(
             config, progress, retries=retries, worker_timeout=worker_timeout,
-            keep_going=keep_going, failures=failures, journal=journal,
+            keep_going=keep_going, failures=failures,
         )
     return load_programs_serial(
         config, list(config.programs), progress,
         retries=retries, keep_going=keep_going, failures=failures,
-        journal=journal,
     )

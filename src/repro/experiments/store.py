@@ -19,18 +19,18 @@ This module generalizes the pipeline's ad-hoc cache files into a small
   blobs, surfaced as the ``store verify`` / ``store gc`` CLI
   subcommands.
 
-Backward compatibility: entries written before the envelope existed
-(bare pickled payload dicts, including the repo's committed full-scale
-cache) load through a legacy shim and are reported as ``legacy`` by
-``verify`` — valid, just not self-verifying.  Entry *names* are
-unchanged from the classic cache layout: the simulation cache is
-deliberately keyed without the engine (a payload computed by one backend
-is bit-identical and valid for the others), so the run-journal task
-digest (:func:`repro.experiments.journal.task_digest`) lives in the
-journal, not in the file name.
+Every simulation entry has the one v3 format: a bare pickled payload
+(written before the envelope existed) carries no digest, so it reads as
+corrupt and is recomputed like any other miss.  Entry *names* are those
+of the classic cache layout, content-addressed by a hash of the workload
+source and the page sizes; the simulation cache is deliberately keyed
+without the engine (a payload computed by one backend is bit-identical
+and valid for the others).  Because each name determines its content
+and each publish is atomic, ``--resume`` needs no record of its own:
+it is a rerun that :meth:`ResultStore.entry_ok` can predict.
 
 The normative envelope schema is documented in
-``docs/RESILIENCE.md`` ("Crash recovery & resume").
+``docs/RESILIENCE.md`` ("Resume = verified rerun").
 """
 
 from __future__ import annotations
@@ -48,15 +48,13 @@ from repro import observe
 from repro.errors import StoreCorruptError
 from repro.faults import faultpoint
 
-#: Envelope format marker; payloads wrapped before this existed are
-#: "legacy" and load through the shim below.
+#: Envelope format marker; anything without it is not a store entry.
 STORE_FORMAT = "repro-store"
 STORE_VERSION = 3
 DIGEST_ALGO = "sha256"
 
 #: Entry statuses reported by :meth:`ResultStore.verify`.
 STATUS_V3 = "v3"            #: enveloped, digest verified
-STATUS_LEGACY = "legacy"    #: pre-envelope pickle, loadable
 STATUS_NPZ = "npz"          #: trace container, zip/chunk CRCs verified
 STATUS_CORRUPT = "corrupt"  #: failed its integrity check
 STATUS_TMP = "tmp"          #: orphaned temp file from a killed writer
@@ -106,8 +104,8 @@ class StoreReport:
             "total": len(self.entries),
             "counts": {
                 status: self.count(status)
-                for status in (STATUS_V3, STATUS_LEGACY, STATUS_NPZ,
-                               STATUS_CORRUPT, STATUS_TMP, STATUS_OTHER)
+                for status in (STATUS_V3, STATUS_NPZ, STATUS_CORRUPT,
+                               STATUS_TMP, STATUS_OTHER)
             },
             "entries": [entry.to_dict() for entry in self.entries],
         }
@@ -134,9 +132,9 @@ def _atomic_write_bytes(blob: bytes, path: Path) -> None:
 class ResultStore:
     """Content-addressed view over a cache directory.
 
-    ``root`` is the classic ``.repro_cache`` directory; journals live in
-    a ``runs/`` subdirectory that the store's maintenance surface leaves
-    alone (they have their own per-record checksums).
+    ``root`` is the classic ``.repro_cache`` directory; run records and
+    black boxes live in a ``runs/`` subdirectory that the store's
+    maintenance surface leaves alone.
     """
 
     def __init__(self, root: Path) -> None:
@@ -172,30 +170,28 @@ class ResultStore:
                      program: Optional[str] = None) -> object:
         """Load and verify the payload published at ``path``.
 
-        Raises :class:`StoreCorruptError` on digest mismatch or envelope
-        drift, and whatever the underlying read raises on I/O or pickle
-        failure — callers treat any of these as a cache miss.
+        Raises :class:`StoreCorruptError` on digest mismatch, envelope
+        drift or a file that is no envelope at all (such as a bare
+        pre-envelope pickle), and whatever the underlying read raises on
+        I/O or pickle failure — callers treat any of these as a cache
+        miss.
         """
         faultpoint("store.load", program=program, entry=path.name)
         with open(path, "rb") as handle:
             obj = pickle.load(handle)
-        if isinstance(obj, dict) and obj.get("format") == STORE_FORMAT:
-            payload = self._open_envelope(obj, path)
-            observe.inc("store.loaded")
-            observe.emit_event("store.load", "DEBUG", program=program,
-                               entry=path.name)
-            return payload
-        # Legacy shim: a bare payload written before the envelope
-        # existed (v1/v2 cache entries, including the committed
-        # full-scale cache).  Loadable, just not self-verifying.
+        payload = self._open_envelope(obj, path)
         observe.inc("store.loaded")
-        observe.inc("store.load.legacy")
         observe.emit_event("store.load", "DEBUG", program=program,
-                           entry=path.name, legacy=True)
-        return obj
+                           entry=path.name)
+        return payload
 
-    def _open_envelope(self, envelope: Dict[str, object],
-                       path: Path) -> object:
+    def _open_envelope(self, envelope: object, path: Path) -> object:
+        if not isinstance(envelope, dict) \
+                or envelope.get("format") != STORE_FORMAT:
+            raise StoreCorruptError(
+                f"{path.name}: not a store envelope "
+                f"({type(envelope).__name__} without a digest)"
+            )
         if envelope.get("version") != STORE_VERSION:
             raise StoreCorruptError(
                 f"{path.name}: unsupported store envelope version "
@@ -234,8 +230,8 @@ class ResultStore:
     def entry_ok(self, name: str) -> bool:
         """Whether entry ``name`` exists and passes its integrity check.
 
-        Used by resume planning: a journaled ``task.done`` only skips
-        re-execution if every entry it references still verifies.
+        ``--resume`` counts a program as skipped exactly when this holds
+        for its simulation entry, which is when the rerun will load it.
         """
         path = self.root / name
         if not path.is_file():
@@ -251,7 +247,7 @@ class ResultStore:
             return report
         for path in sorted(self.root.iterdir()):
             if not path.is_file():
-                continue  # runs/ journals audit separately
+                continue  # runs/ holds run records, not entries
             report.entries.append(self._verify_file(path))
         return report
 
@@ -268,17 +264,11 @@ class ResultStore:
             except Exception as exc:
                 return EntryReport(name, STATUS_CORRUPT, size,
                                    f"{type(exc).__name__}: {exc}")
-            if isinstance(obj, dict) and obj.get("format") == STORE_FORMAT:
-                try:
-                    self._open_envelope(obj, path)
-                except Exception as exc:
-                    return EntryReport(name, STATUS_CORRUPT, size, str(exc))
-                return EntryReport(name, STATUS_V3, size)
-            if isinstance(obj, dict):
-                return EntryReport(name, STATUS_LEGACY, size,
-                                   "pre-envelope payload (no digest)")
-            return EntryReport(name, STATUS_CORRUPT, size,
-                               f"unexpected pickle of {type(obj).__name__}")
+            try:
+                self._open_envelope(obj, path)
+            except Exception as exc:
+                return EntryReport(name, STATUS_CORRUPT, size, str(exc))
+            return EntryReport(name, STATUS_V3, size)
         if name.endswith(".npz"):
             try:
                 with zipfile.ZipFile(path) as archive:

@@ -67,6 +67,26 @@ class TestCorruptionRecovery:
         assert reloaded.result.counts == baseline.result.counts
         assert observing.snapshot()["counters"]["cache.sim.hits"] == 1
 
+    def test_bare_pre_envelope_payload_recomputed_as_miss(
+            self, warm_cache, observing):
+        # A payload pickled bare (the format before the v3 envelope)
+        # carries no digest: it is recomputed and republished enveloped.
+        from repro.experiments.store import ResultStore
+
+        config, baseline = warm_cache
+        sim_path = _entry(config, ".pkl")
+        store = ResultStore(config.cache_dir)
+        payload = store.load_payload(sim_path)
+        sim_path.write_bytes(pickle.dumps(payload))
+        assert not store.entry_ok(sim_path.name)
+        observing.reset()
+        data = load_program_data(PROGRAM, config)
+        assert data.result.counts == baseline.result.counts
+        counters = observing.snapshot()["counters"]
+        assert counters["cache.sim.corrupt"] == 1
+        assert counters["cache.sim.misses"] == 1
+        assert store.entry_ok(sim_path.name)
+
     def test_truncated_sim_pickle_recovers(self, warm_cache):
         config, baseline = warm_cache
         sim_path = _entry(config, ".pkl")

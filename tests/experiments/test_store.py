@@ -1,9 +1,9 @@
-"""Result store: envelope integrity, legacy shim, verify/gc surface.
+"""Result store: envelope integrity, one entry format, verify/gc surface.
 
-Every simulation payload now travels inside a v3 envelope carrying a
+Every simulation payload travels inside a v3 envelope carrying a
 SHA-256 of its pickled bytes; these tests pin the publish/load contract
-(atomic, self-verifying, backward compatible with the committed bare-
-pickle cache) and the maintenance surface behind ``store verify`` /
+(atomic, self-verifying, and nothing else loads: a bare pre-envelope
+pickle is corrupt) and the maintenance surface behind ``store verify`` /
 ``store gc``.
 """
 
@@ -15,10 +15,10 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro import observe
 from repro.errors import StoreCorruptError
 from repro.experiments.store import (
     STATUS_CORRUPT,
-    STATUS_LEGACY,
     STATUS_NPZ,
     STATUS_OTHER,
     STATUS_TMP,
@@ -72,13 +72,52 @@ class TestPublishLoad:
         with pytest.raises(StoreCorruptError, match="different entry"):
             store.load_payload(moved)
 
-    def test_legacy_bare_payload_loads(self, store):
-        # The committed full-scale cache predates the envelope; it must
-        # keep loading through the shim.
-        path = store.root / "legacy.pkl"
-        payload = {"stats": {"b": 2}}
-        path.write_bytes(pickle.dumps(payload))
-        assert store.load_payload(path) == payload
+    def test_bare_payload_reads_as_corrupt(self, store):
+        # A pickle written before the envelope existed carries no digest,
+        # so it is not a store entry: loading it fails like a torn blob
+        # and the pipeline recomputes it as a miss.
+        path = store.root / "bare.pkl"
+        path.write_bytes(pickle.dumps({"stats": {"b": 2}}))
+        with pytest.raises(StoreCorruptError, match="not a store envelope"):
+            store.load_payload(path)
+
+    @pytest.mark.parametrize("obj", [
+        ["format", "repro-store"],
+        {"format": "something-else", "payload": b""},
+        None,
+    ], ids=["list", "foreign-format", "none"])
+    def test_non_envelope_pickles_read_as_corrupt(self, store, obj):
+        path = store.root / "odd.pkl"
+        path.write_bytes(pickle.dumps(obj))
+        with pytest.raises(StoreCorruptError, match="not a store envelope"):
+            store.load_payload(path)
+        assert not store.entry_ok("odd.pkl")
+
+    def test_unsupported_envelope_version_detected(self, store):
+        path, _, _ = publish(store)
+        with open(path, "rb") as handle:
+            envelope = pickle.load(handle)
+        envelope["version"] = 2
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(StoreCorruptError, match="envelope version"):
+            store.load_payload(path)
+
+    def test_load_counts_only_verified_entries(self, store):
+        path, payload, _ = publish(store)
+        bare = store.root / "bare.pkl"
+        bare.write_bytes(pickle.dumps(payload))
+        observe.reset()
+        observe.enable()
+        try:
+            store.load_payload(path)
+            with pytest.raises(StoreCorruptError):
+                store.load_payload(bare)
+            counters = observe.get_registry().snapshot()["counters"]
+        finally:
+            observe.disable()
+            observe.reset()
+        assert counters["store.loaded"] == 1
+        assert not any("legacy" in name for name in counters)
 
     def test_publish_leaves_no_temp_droppings(self, store):
         publish(store)
@@ -88,7 +127,7 @@ class TestPublishLoad:
 class TestVerify:
     def test_statuses(self, store, tmp_path):
         publish(store, name="good.pkl")
-        (tmp_path / "legacy.pkl").write_bytes(pickle.dumps({"stats": {}}))
+        (tmp_path / "bare.pkl").write_bytes(pickle.dumps({"stats": {}}))
         (tmp_path / "torn.pkl").write_bytes(b"\x80\x04 torn mid-write")
         (tmp_path / "drop.pkl.abc123.tmp").write_bytes(b"half")
         (tmp_path / "README").write_text("not a store entry")
@@ -96,13 +135,15 @@ class TestVerify:
         report = store.verify()
         by_name = {entry.name: entry.status for entry in report.entries}
         assert by_name["good.pkl"] == STATUS_V3
-        assert by_name["legacy.pkl"] == STATUS_LEGACY
+        assert by_name["bare.pkl"] == STATUS_CORRUPT
         assert by_name["torn.pkl"] == STATUS_CORRUPT
         assert by_name["drop.pkl.abc123.tmp"] == STATUS_TMP
         assert by_name["README"] == STATUS_OTHER
         assert by_name["trace.npz"] == STATUS_NPZ
-        assert report.count(STATUS_CORRUPT) == 1
-        assert [entry.name for entry in report.corrupt] == ["torn.pkl"]
+        assert report.count(STATUS_CORRUPT) == 2
+        assert [entry.name for entry in report.corrupt] \
+            == ["bare.pkl", "torn.pkl"]
+        assert "legacy" not in report.to_dict()["counts"]
 
     def test_truncated_npz_is_corrupt(self, store, tmp_path):
         np.savez(tmp_path / "trace.npz", col=np.arange(1000))
@@ -128,15 +169,15 @@ class TestVerify:
     def test_runs_subdir_left_alone(self, store, tmp_path):
         runs = tmp_path / "runs"
         runs.mkdir()
-        (runs / "r1.journal.jsonl").write_text("{}\n")
+        (runs / "r1.run.json").write_text('{"run": "r1"}\n')
         assert store.verify().entries == []
 
     def test_entry_ok(self, store, tmp_path):
         path, _, _ = publish(store, name="good.pkl")
-        (tmp_path / "legacy.pkl").write_bytes(pickle.dumps({"stats": {}}))
+        (tmp_path / "bare.pkl").write_bytes(pickle.dumps({"stats": {}}))
         (tmp_path / "torn.pkl").write_bytes(b"torn")
         assert store.entry_ok("good.pkl")
-        assert store.entry_ok("legacy.pkl")
+        assert not store.entry_ok("bare.pkl")
         assert not store.entry_ok("torn.pkl")
         assert not store.entry_ok("absent.pkl")
 
@@ -161,3 +202,10 @@ class TestGc:
         assert (tmp_path / "good.pkl").exists()
         assert not (tmp_path / "torn.pkl").exists()
         assert not (tmp_path / "drop.pkl.abc123.tmp").exists()
+
+    def test_gc_removes_bare_pickles(self, store, tmp_path):
+        publish(store, name="good.pkl")
+        (tmp_path / "bare.pkl").write_bytes(pickle.dumps({"stats": {}}))
+        result = store.gc()
+        assert result["removed"] == ["bare.pkl"]
+        assert result["kept"] == ["good.pkl"]

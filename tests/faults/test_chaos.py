@@ -12,10 +12,19 @@ import time
 
 import pytest
 
+from repro import observe
+from repro.errors import PipelineError
 from repro.experiments.cli import (
     EXIT_PARTIAL, EXIT_PIPELINE, EXIT_TRANSIENT, EXIT_USAGE,
     main as cli_main,
 )
+from repro.experiments.pipeline import (
+    RETRY_CAP_S,
+    FailureRecord,
+    retry_backoff_s,
+    settle_failure,
+)
+from repro.faults import InjectedOSError
 from repro.observe.manifest import load_manifest
 
 PROGRAMS = ("qcd", "gcc")  # the two quickest smoke workloads
@@ -292,3 +301,111 @@ class TestKeepGoing:
         code, text = _run_cli(tmp_path, "ok", "--keep-going")
         assert code == 0
         assert text == clean_report
+
+
+class TestRetryPolicy:
+    """``settle_failure``: the one retry/failure policy both the serial
+    loop and the parallel scheduler call."""
+
+    @pytest.fixture()
+    def registry(self):
+        observe.reset()
+        observe.enable()
+        observe.enable_events()
+        yield observe.get_registry()
+        observe.get_recorder().reset()
+        observe.disable_events()
+        observe.disable()
+        observe.reset()
+
+    @staticmethod
+    def settle(exc, attempts, **kwargs):
+        options = dict(max_attempts=3, retry_base_s=0.1, keep_going=False,
+                       failures=None, progress=None)
+        options.update(kwargs)
+        return settle_failure("gcc", exc, attempts, 1.5, **options)
+
+    @staticmethod
+    def events(category):
+        return [event for event in observe.get_recorder().entries()
+                if event.category == category]
+
+    def test_transient_with_attempts_left_backs_off(self, registry):
+        messages = []
+        delay = self.settle(InjectedOSError("disk"), 1,
+                            progress=messages.append)
+        assert delay == retry_backoff_s(1, 0.1)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"retry.attempts": 1}
+        assert snapshot["histograms"]["retry.backoff_seconds"]["count"] == 1
+        (event,) = self.events("program.retry")
+        assert event.data["attempt"] == 1
+        assert event.data["max_attempts"] == 3
+        assert event.data["error"] == "InjectedOSError"
+        assert "retrying in" in messages[0]
+
+    @pytest.mark.parametrize("attempts", [1, 2, 3, 6, 12])
+    def test_backoff_is_capped_exponential(self, attempts):
+        delay = self.settle(InjectedOSError("disk"), attempts,
+                            max_attempts=100)
+        assert delay == min(RETRY_CAP_S, 0.1 * 2 ** (attempts - 1))
+
+    def test_exhausted_transient_is_recorded_under_keep_going(self, registry):
+        failures = []
+        delay = self.settle(InjectedOSError("disk"), 3, keep_going=True,
+                            failures=failures)
+        assert delay is None
+        assert failures == [FailureRecord(
+            program="gcc", error="InjectedOSError", message="disk",
+            attempts=3, elapsed_s=1.5,
+        )]
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"fault.program.failed": 1}
+        assert snapshot["notes"]["failures"] == [
+            "gcc: InjectedOSError after 3 attempt(s): disk"
+        ]
+        (event,) = self.events("program.failed")
+        assert event.data["kept_going"] is True
+        assert not self.events("program.retry")
+
+    def test_fatal_error_never_retries_and_aborts(self, registry):
+        exc = PipelineError("bad session")
+        with pytest.raises(PipelineError) as raised:
+            self.settle(exc, 1)
+        assert raised.value is exc
+        counters = registry.snapshot()["counters"]
+        assert counters == {"fault.program.failed": 1}
+        (event,) = self.events("program.failed")
+        assert event.data["kept_going"] is False
+
+    def test_fatal_error_under_keep_going_is_recorded(self):
+        failures = []
+        assert self.settle(PipelineError("x"), 1, keep_going=True,
+                           failures=failures) is None
+        assert [record.attempts for record in failures] == [1]
+
+    @pytest.mark.parametrize("spec, retries, attempts", [
+        ("cache.write:fatal@gcc*inf", "2", 1),
+        ("stream.feed:oserror@gcc*inf", "1", 2),
+    ], ids=["fatal", "transient"])
+    def test_serial_and_parallel_settle_alike(self, tmp_path, spec, retries,
+                                              attempts):
+        seen = {}
+        for jobs in ("1", "2"):
+            manifest_path = tmp_path / f"jobs{jobs}.json"
+            code, _ = _run_cli(
+                tmp_path, f"policy{jobs}", "--jobs", jobs, "--keep-going",
+                "--stream", "--retries", retries, "--inject-faults", spec,
+                "--manifest", str(manifest_path),
+            )
+            assert code == EXIT_PARTIAL
+            manifest = load_manifest(manifest_path)
+            (record,) = manifest.failures
+            seen[jobs] = (
+                record["program"], record["error"], record["attempts"],
+                manifest.counters.get("retry.attempts", 0),
+                manifest.counters["fault.program.failed"],
+            )
+        assert seen["1"] == seen["2"]
+        assert seen["1"][2] == attempts
+        assert seen["1"][3] == attempts - 1
